@@ -1,11 +1,10 @@
 // Deterministic socket-level fault injection for the TCP serving fleet.
 //
 // The serve-layer FaultInjector (serve/fault_injector.hpp) chaos-tests the
-// *compute* path; this injector does the same for the *network* path.  It is
-// a seam compiled in permanently (a null injector costs one pointer check)
-// that wraps Connection/Socket I/O with named failure points: short sends,
-// torn reads, synthetic EINTR storms, withheld reads, RST aborts, and shard
-// thread death.
+// *compute* path; this injector runs the same seeded schedule over the
+// *network* path's failure points: short sends, torn reads, synthetic EINTR
+// storms, withheld reads, RST aborts, and shard thread death.  A null
+// injector costs one pointer check per I/O call.
 //
 // Determinism contract, mirroring PR 3's chaos-replay pin: each connection
 // carries its own poll counters (NetFaultCounters), so the k-th I/O poll of
@@ -19,10 +18,10 @@
 // max_fires cap means "kill N shards during the run", fleet-wide.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+
+#include "serve/fault_injector.hpp"
 
 namespace xnfv::net {
 
@@ -50,64 +49,21 @@ inline constexpr std::size_t kNumNetFaultPoints = 6;
     return "unknown";
 }
 
+/// Seeded, counter-driven socket fault schedule (serve::FaultSchedule); a
+/// default (zero-rate) injector never fires.  max_fires caps are
+/// fleet-wide: shard_death with max_fires = 1 models "kill one shard".
+using NetFaultInjector = serve::FaultSchedule<NetFaultPoint, kNumNetFaultPoints>;
+
 /// Per-stream poll counters.  Every Connection owns one, giving it a fault
 /// schedule that depends only on its own syscall sequence.  Touched only by
 /// the connection's shard thread — no atomics needed.
-struct NetFaultCounters {
-    std::array<std::uint64_t, kNumNetFaultPoints> polls{};
-};
+using NetFaultCounters = NetFaultInjector::Polls;
 
-/// Seeded, counter-driven socket fault schedule.  Thread-safe; a default
-/// (zero-rate) injector never fires.
-class NetFaultInjector {
-public:
-    struct Config {
-        std::uint64_t seed = 0;
-        /// Per-point firing probability in [0, 1] for each poll.
-        std::array<double, kNumNetFaultPoints> rate{};
-        /// Per-point cap on total fires, fleet-wide; 0 = unlimited.
-        /// (shard_death with max_fires = 1 models "kill one shard".)
-        std::array<std::uint64_t, kNumNetFaultPoints> max_fires{};
-    };
-
-    NetFaultInjector() = default;
-    explicit NetFaultInjector(Config config) : config_(config) {}
-
-    /// Polls a point against a connection-local counter (I/O points).
-    [[nodiscard]] bool should_fire(NetFaultPoint point, NetFaultCounters& local) noexcept;
-    /// Polls a point against the injector-global counter (shard_death).
-    [[nodiscard]] bool should_fire(NetFaultPoint point) noexcept;
-
-    [[nodiscard]] std::uint64_t fired(NetFaultPoint point) const noexcept {
-        return fired_[index(point)].load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t total_fired() const noexcept;
-    /// True when any point has a nonzero rate (cheap "chaos is on" check).
-    [[nodiscard]] bool armed() const noexcept;
-    [[nodiscard]] const Config& config() const noexcept { return config_; }
-
-private:
-    [[nodiscard]] static constexpr std::size_t index(NetFaultPoint point) noexcept {
-        return static_cast<std::size_t>(point);
-    }
-    /// The (seed, point, k) verdict plus the fleet-wide max_fires cap.
-    [[nodiscard]] bool decide(std::size_t i, std::uint64_t k) noexcept;
-
-    Config config_{};
-    std::array<std::atomic<std::uint64_t>, kNumNetFaultPoints> global_polls_{};
-    std::array<std::atomic<std::uint64_t>, kNumNetFaultPoints> fired_{};
-};
-
-/// Null-safe poll against a connection-local counter.
+/// Null-safe poll, against a connection's own counters when given (I/O
+/// points) and the injector-global counter otherwise (shard_death).
 [[nodiscard]] inline bool net_fault_fires(NetFaultInjector* injector, NetFaultPoint point,
-                                          NetFaultCounters& local) noexcept {
+                                          NetFaultCounters* local = nullptr) noexcept {
     return injector != nullptr && injector->should_fire(point, local);
-}
-
-/// Null-safe poll against the global counter.
-[[nodiscard]] inline bool net_fault_fires(NetFaultInjector* injector,
-                                          NetFaultPoint point) noexcept {
-    return injector != nullptr && injector->should_fire(point);
 }
 
 }  // namespace xnfv::net

@@ -35,7 +35,8 @@ ExplanationServer::ExplanationServer(serve::ExplanationService& service,
       // In-flight completions are bounded by what the service has admitted,
       // so a ring this size makes the overflow spill path cold.
       channel_(std::make_shared<CompletionChannel>(
-          service.config().queue_depth + service.config().max_batch + 64)) {
+          service.config().queue_depth + service.config().max_batch + 64)),
+      metrics_(service.metrics()) {
     channel_->loop = &loop_;
 }
 
@@ -104,7 +105,7 @@ void ExplanationServer::on_accept() {
             [[maybe_unused]] const auto n =
                 ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
             ::close(fd);
-            metrics_.rejected.inc();
+            metrics_.inc(&serve::ServiceStats::connections_rejected);
             continue;
         }
         if (config_.sndbuf > 0) {
@@ -119,8 +120,7 @@ void ExplanationServer::on_accept() {
         conns_.emplace(id, std::move(conn));
         loop_.add(fd, EPOLLIN,
                   [this, id](std::uint32_t events) { on_conn_event(id, events); });
-        metrics_.accepted.inc();
-        metrics_.active.set(conns_.size());
+        metrics_.inc(&serve::ServiceStats::connections_accepted);
     }
 }
 
@@ -135,7 +135,7 @@ void ExplanationServer::on_conn_event(std::uint64_t conn_id, std::uint32_t event
     // Chaos: abort this connection with an RST (SO_LINGER 0 turns the close
     // into a reset) — the client-retry path's hardest failure mode.
     if (!conn.lingering &&
-        net_fault_fires(conn.chaos, NetFaultPoint::rst_close, conn.fault_counters)) {
+        net_fault_fires(conn.chaos, NetFaultPoint::rst_close, &conn.fault_counters)) {
         const struct linger lg = {1, 0};
         ::setsockopt(conn.fd(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
         close_conn(conn);
@@ -159,7 +159,7 @@ void ExplanationServer::on_conn_event(std::uint64_t conn_id, std::uint32_t event
         const auto before = conn.bytes_in;
         frames_.clear();
         const auto status = conn.read_some(frames_);
-        metrics_.bytes_in.inc(conn.bytes_in - before);
+        metrics_.inc(&serve::ServiceStats::net_bytes_in, conn.bytes_in - before);
         for (const auto& frame : frames_) handle_frame(conn, frame);
         pump(conn);
         if (status == IoStatus::error) {
@@ -206,7 +206,7 @@ void ExplanationServer::on_tick() {
         for (const auto id : idle) {
             const auto it = conns_.find(id);
             if (it == conns_.end()) continue;
-            metrics_.closed_idle.inc();
+            metrics_.inc(&serve::ServiceStats::connections_closed_idle);
             close_conn(*it->second);
         }
     }
@@ -254,7 +254,7 @@ void ExplanationServer::handle_frame(Connection& conn, const serve::Frame& frame
             conn.fulfill(seq, admin_provider_(req));
         } else {
             service_.stats_reset();
-            reset_net_metrics();
+            budget_->reset_peak();
             serve::JsonWriter w;
             w.field("ok", true);
             w.field("op", "stats_reset");
@@ -319,7 +319,7 @@ void ExplanationServer::handle_frame(Connection& conn, const serve::Frame& frame
     const auto rid = static_cast<std::uint64_t>(req.get_number("rid", 0));
     const auto seq = conn.push_slot(Connection::Slot::Kind::response);
     if (conn.dedup_admit(rid, seq) != Connection::DedupVerdict::fresh) {
-        metrics_.retry_duplicates.inc();
+        metrics_.inc(&serve::ServiceStats::net_retry_duplicates);
         return;
     }
     const auto fail = [&conn, seq](std::uint64_t id, serve::ServeError code,
@@ -399,7 +399,7 @@ void ExplanationServer::pump(Connection& conn) {
                 return;
         }
         ++conn.requests;
-        metrics_.requests.inc();
+        metrics_.inc(&serve::ServiceStats::net_requests);
         conn.pop_front_slot();
     }
 }
@@ -418,7 +418,7 @@ void ExplanationServer::update_interest(Connection& conn) {
 void ExplanationServer::flush_and_update(Connection& conn) {
     auto before = conn.bytes_out;
     auto status = conn.flush();
-    metrics_.bytes_out.inc(conn.bytes_out - before);
+    metrics_.inc(&serve::ServiceStats::net_bytes_out, conn.bytes_out - before);
     if (status == IoStatus::error || status == IoStatus::peer_closed) {
         close_conn(conn);
         return;
@@ -432,8 +432,8 @@ void ExplanationServer::flush_and_update(Connection& conn) {
                 " bytes"));
         before = conn.bytes_out;
         status = conn.flush();
-        metrics_.bytes_out.inc(conn.bytes_out - before);
-        metrics_.closed_backpressure.inc();
+        metrics_.inc(&serve::ServiceStats::net_bytes_out, conn.bytes_out - before);
+        metrics_.inc(&serve::ServiceStats::connections_closed_backpressure);
         close_conn(conn);
         return;
     }
@@ -451,7 +451,6 @@ void ExplanationServer::close_conn(Connection& conn) {
     conn.close();
     conns_.erase(conn.id());  // destroys conn; the reference is dead here
     budget_->release();
-    metrics_.active.set(conns_.size());
     if (draining_ && conns_.empty()) loop_.stop();
 }
 
@@ -526,29 +525,10 @@ serve::ServiceStats ExplanationServer::stats() const {
     auto s = service_.stats();
     s.net_enabled = true;
     s.net_shards = 1;
-    s.connections_accepted = metrics_.accepted.value();
-    s.connections_active = metrics_.active.value();
-    s.connections_active_max = metrics_.active.max();
-    s.connections_rejected = metrics_.rejected.value();
-    s.connections_closed_idle = metrics_.closed_idle.value();
-    s.connections_closed_backpressure = metrics_.closed_backpressure.value();
-    s.net_bytes_in = metrics_.bytes_in.value();
-    s.net_bytes_out = metrics_.bytes_out.value();
-    s.net_requests = metrics_.requests.value();
-    s.conn_requests_p50 = metrics_.conn_requests.quantile(0.5);
-    s.conn_requests_mean = metrics_.conn_requests.mean();
-    s.conn_requests_max = metrics_.conn_requests.max();
-    s.net_retry_duplicates = metrics_.retry_duplicates.value();
-    s.errors_by_reason[static_cast<std::size_t>(serve::ServeError::retry_duplicate)] +=
-        s.net_retry_duplicates;
-    if (config_.chaos) {
-        // Injector counters are fleet-global; the sharded aggregate
-        // overwrites these after its merge so a shared injector is not
-        // counted once per shard.
-        s.net_faults_injected = config_.chaos->total_fired();
-        s.errors_by_reason[static_cast<std::size_t>(
-            serve::ServeError::net_fault_injected)] += s.net_faults_injected;
-    }
+    s.connections_active = budget_->active.load(std::memory_order_relaxed);
+    s.connections_active_max = budget_->peak.load(std::memory_order_relaxed);
+    if (config_.chaos) s.net_faults_injected = config_.chaos->total_fired();
+    s.derive();  // mirrors the net counts into errors_by_reason
     return s;
 }
 

@@ -63,11 +63,20 @@ struct ConnectionBudget {
             if (cur >= limit) return false;
         } while (!active.compare_exchange_weak(cur, cur + 1,
                                                std::memory_order_relaxed));
+        auto seen = peak.load(std::memory_order_relaxed);
+        while (cur + 1 > seen &&
+               !peak.compare_exchange_weak(seen, cur + 1, std::memory_order_relaxed)) {
+        }
         return true;
     }
     void release() noexcept { active.fetch_sub(1, std::memory_order_relaxed); }
+    /// Restarts the high-water mark from the current level (op=stats_reset).
+    void reset_peak() noexcept {
+        peak.store(active.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    }
 
     std::atomic<std::size_t> active{0};
+    std::atomic<std::size_t> peak{0};  ///< high-water mark of `active`
     std::size_t limit;
 };
 
@@ -113,35 +122,6 @@ struct ServerConfig {
     /// `"rid"` so a retried request replays its recorded answer instead of
     /// recomputing.  0 disables.
     std::size_t dedup_window = 1024;
-};
-
-/// Connection-level metrics folded into ServiceStats (net_* fields).
-struct NetMetrics {
-    serve::Counter accepted;
-    serve::Counter rejected;             ///< over the connection limit
-    serve::Counter closed_idle;
-    serve::Counter closed_backpressure;  ///< output cap breaches
-    serve::Counter bytes_in;
-    serve::Counter bytes_out;
-    serve::Counter requests;             ///< frames answered over TCP
-    serve::Counter retry_duplicates;     ///< rids answered from the dedup window
-    serve::Gauge active;
-    serve::Histogram conn_requests;      ///< requests per closed connection
-
-    /// Zeroes every counter/histogram and restarts the active-connection
-    /// high-water mark (see ExplanationServer::reset_net_metrics).
-    void reset() noexcept {
-        accepted.reset();
-        rejected.reset();
-        closed_idle.reset();
-        closed_backpressure.reset();
-        bytes_in.reset();
-        bytes_out.reset();
-        requests.reset();
-        retry_duplicates.reset();
-        active.reset();
-        conn_requests.reset();
-    }
 };
 
 class ExplanationServer {
@@ -205,12 +185,6 @@ public:
 
     /// Service stats with the net section populated (net_enabled = true).
     [[nodiscard]] serve::ServiceStats stats() const;
-
-    /// Zeroes this server's connection-level counters/histograms and restarts
-    /// gauge high-water marks (the net half of op=stats_reset; the service
-    /// half is ExplanationService::stats_reset).  Live levels — active
-    /// connections — survive.  Safe from any thread: NetMetrics is atomics.
-    void reset_net_metrics() noexcept { metrics_.reset(); }
 
     /// Liveness epoch, bumped once per event-loop tick.  The shard
     /// supervisor samples it to tell a serving loop from a wedged one.
@@ -302,7 +276,8 @@ private:
     std::atomic<bool> finished_{false};
     bool draining_ = false;
     std::chrono::steady_clock::time_point drain_deadline_{};
-    mutable NetMetrics metrics_;
+    /// The service's recorders; connection events are counted there.
+    serve::ServiceMetrics& metrics_;
     std::vector<serve::Frame> frames_;  ///< per-read scratch
 };
 

@@ -35,16 +35,6 @@ void pin_to_cpu([[maybe_unused]] std::thread& thread,
 #endif
 }
 
-/// mean over shards weighted by per-shard sample count.
-[[nodiscard]] double weighted_mean(double acc_mean, std::uint64_t acc_n,
-                                   double mean, std::uint64_t n) {
-    const auto total = acc_n + n;
-    if (total == 0) return 0.0;
-    return (acc_mean * static_cast<double>(acc_n) +
-            mean * static_cast<double>(n)) /
-           static_cast<double>(total);
-}
-
 }  // namespace
 
 ShardedServer::ShardedServer(std::shared_ptr<const xnfv::ml::Model> model,
@@ -105,10 +95,8 @@ void ShardedServer::build_shard_locked(std::size_t index) {
             // connection metrics under the same locks an admin op holds, so
             // a reset can never interleave with a half-applied fleet.  Not
             // logged — a respawned shard starts its metrics at zero anyway.
-            for (const auto& s : shards_) {
-                s->service->stats_reset();
-                s->server->reset_net_metrics();
-            }
+            for (const auto& s : shards_) s->service->stats_reset();
+            budget_->reset_peak();
             serve::JsonWriter w;
             w.field("ok", true);
             w.field("op", "stats_reset");
@@ -264,140 +252,13 @@ std::uint16_t ShardedServer::port() const noexcept {
 }
 
 serve::ServiceStats ShardedServer::stats() const {
-    serve::ServiceStats agg;
-    std::uint64_t batch_n = 0, svc_n = 0, compute_n = 0, probe_n = 0, conn_n = 0;
+    std::vector<serve::ServiceStats> shards;
     const std::lock_guard<std::mutex> lock(shards_mutex_);
-    for (const auto& shard : shards_) {
-        const auto s = shard->server->stats();
-        agg.requests_accepted += s.requests_accepted;
-        agg.requests_rejected += s.requests_rejected;
-        agg.requests_completed += s.requests_completed;
-        agg.requests_degraded += s.requests_degraded;
-        agg.batches += s.batches;
-        agg.cache_hits += s.cache_hits;
-        agg.cache_misses += s.cache_misses;
-        agg.cache_evictions += s.cache_evictions;
-        agg.cache_entries += s.cache_entries;
-        for (std::size_t i = 0; i < serve::kNumServeErrors; ++i)
-            agg.errors_by_reason[i] += s.errors_by_reason[i];
-        agg.worker_respawns += s.worker_respawns;
-        agg.worker_stalls += s.worker_stalls;
-        agg.faults_injected += s.faults_injected;
-        agg.snapshot_writes += s.snapshot_writes;
-        agg.snapshot_records_loaded += s.snapshot_records_loaded;
-        agg.snapshot_records_skipped += s.snapshot_records_skipped;
-        agg.queue_depth += s.queue_depth;
-        agg.queue_depth_max += s.queue_depth_max;
-        agg.batch_size_mean =
-            weighted_mean(agg.batch_size_mean, batch_n, s.batch_size_mean, s.batches);
-        batch_n += s.batches;
-        agg.batch_size_max = std::max(agg.batch_size_max, s.batch_size_max);
-        // Latency quantiles cannot be merged exactly from snapshots; the
-        // worst shard is the conservative fleet answer.
-        agg.service_us_p50 = std::max(agg.service_us_p50, s.service_us_p50);
-        agg.service_us_p95 = std::max(agg.service_us_p95, s.service_us_p95);
-        agg.service_us_p99 = std::max(agg.service_us_p99, s.service_us_p99);
-        agg.service_us_mean = weighted_mean(agg.service_us_mean, svc_n,
-                                            s.service_us_mean, s.requests_completed);
-        svc_n += s.requests_completed;
-        agg.compute_us_mean = weighted_mean(agg.compute_us_mean, compute_n,
-                                            s.compute_us_mean, s.cache_misses);
-        compute_n += s.cache_misses;
-        agg.model_evals += s.model_evals;
-        agg.probe_rows_p50 = std::max(agg.probe_rows_p50, s.probe_rows_p50);
-        agg.probe_rows_mean = weighted_mean(agg.probe_rows_mean, probe_n,
-                                            s.probe_rows_mean, s.cache_misses);
-        probe_n += s.cache_misses;
-        agg.probe_rows_max = std::max(agg.probe_rows_max, s.probe_rows_max);
-        agg.fast_path_hits += s.fast_path_hits;
-        // Per-explainer merge by name: counts sum; quantiles take the worst
-        // shard (same convention as the fleet latency quantiles above) and
-        // means weight by each shard's request count for that explainer.
-        for (const auto& e : s.explainers) {
-            serve::ExplainerSliceStats* acc = nullptr;
-            for (auto& existing : agg.explainers)
-                if (existing.name == e.name) { acc = &existing; break; }
-            if (acc == nullptr) {
-                agg.explainers.push_back(e);
-                continue;
-            }
-            acc->compute_us_mean = weighted_mean(acc->compute_us_mean, acc->requests,
-                                                 e.compute_us_mean, e.requests);
-            acc->requests += e.requests;
-            acc->fast_path_hits += e.fast_path_hits;
-            acc->compute_us_p50 = std::max(acc->compute_us_p50, e.compute_us_p50);
-            acc->compute_us_p99 = std::max(acc->compute_us_p99, e.compute_us_p99);
-        }
-        agg.drift_checks += s.drift_checks;
-        agg.drift_flushes += s.drift_flushes;
-        agg.cache_epoch = std::max(agg.cache_epoch, s.cache_epoch);
-        agg.adaptive_wait_us = std::max(agg.adaptive_wait_us, s.adaptive_wait_us);
-        agg.connections_accepted += s.connections_accepted;
-        agg.connections_active += s.connections_active;
-        agg.connections_active_max += s.connections_active_max;
-        agg.connections_rejected += s.connections_rejected;
-        agg.connections_closed_idle += s.connections_closed_idle;
-        agg.connections_closed_backpressure += s.connections_closed_backpressure;
-        agg.net_bytes_in += s.net_bytes_in;
-        agg.net_bytes_out += s.net_bytes_out;
-        agg.net_requests += s.net_requests;
-        agg.net_retry_duplicates += s.net_retry_duplicates;
-        agg.conn_requests_p50 = std::max(agg.conn_requests_p50, s.conn_requests_p50);
-        agg.conn_requests_mean =
-            weighted_mean(agg.conn_requests_mean, conn_n, s.conn_requests_mean,
-                          s.connections_accepted);
-        conn_n += s.connections_accepted;
-        agg.conn_requests_max = std::max(agg.conn_requests_max, s.conn_requests_max);
-
-        // Per-model merge by name: traffic counters sum across shards;
-        // registry-level facts (swaps, weight, quota, fingerprint) are
-        // replicated on every shard by the admin fan-out, so they take the
-        // max/first instead of a sum that would multiply them by the shard
-        // count.  Registration order is identical on every shard, so
-        // appending unseen names preserves it.
-        for (const auto& m : s.models) {
-            serve::ModelServiceStats* acc = nullptr;
-            for (auto& existing : agg.models)
-                if (existing.name == m.name) { acc = &existing; break; }
-            if (acc == nullptr) {
-                agg.models.push_back(m);
-                continue;
-            }
-            acc->admitted += m.admitted;
-            acc->rejected_quota += m.rejected_quota;
-            acc->evals += m.evals;
-            acc->completed += m.completed;
-            acc->cache_entries += m.cache_entries;
-            acc->cache_evictions += m.cache_evictions;
-            acc->queued += m.queued;
-            acc->swaps = std::max(acc->swaps, m.swaps);
-            acc->cache_epoch = std::max(acc->cache_epoch, m.cache_epoch);
-            // Breaker: counters sum; the merged state takes the most severe
-            // shard (open > half-open > closed).
-            acc->breaker_opens += m.breaker_opens;
-            acc->breaker_rejected += m.breaker_rejected;
-            if (acc->breaker_state == 1 || m.breaker_state == 1)
-                acc->breaker_state = 1;
-            else if (acc->breaker_state == 2 || m.breaker_state == 2)
-                acc->breaker_state = 2;
-        }
-        agg.models_registered = std::max(agg.models_registered, s.models_registered);
-        agg.model_swaps = std::max(agg.model_swaps, s.model_swaps);
-    }
-    agg.net_enabled = true;
-    agg.net_shards = shards_.size();
-    // The chaos injector is one fleet-global object shared by every shard,
-    // so its counters must not be summed once per shard: overwrite the
-    // merged values with the single source of truth.
-    if (config_.net.chaos) {
-        agg.net_faults_injected = config_.net.chaos->total_fired();
-        agg.errors_by_reason[static_cast<std::size_t>(
-            serve::ServeError::net_fault_injected)] = agg.net_faults_injected;
-    }
-    agg.net_shard_respawns = shard_respawns_.value();
-    agg.errors_by_reason[static_cast<std::size_t>(serve::ServeError::shard_respawn)] =
-        agg.net_shard_respawns;
-    return agg;
+    for (const auto& shard : shards_) shards.push_back(shard->server->stats());
+    auto fleet = serve::merge_stats(shards);
+    fleet.net_shard_respawns = shard_respawns_.value();
+    fleet.derive();  // mirrors the respawn count into errors_by_reason
+    return fleet;
 }
 
 }  // namespace xnfv::net

@@ -118,9 +118,11 @@ public:
     [[nodiscard]] std::uint16_t port() const noexcept;
     [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
 
-    /// Cross-shard aggregate: counters and gauges sum, latency quantiles
-    /// take the worst shard (conservative), means weight by request count,
-    /// and `cache_epoch` reports the highest shard epoch.
+    /// Fleet aggregate of every shard's stats, each key merged by its
+    /// table rule (serve::merge_stats): histogram quantiles and means are
+    /// exact over all shards' samples, and counts read from fleet-wide
+    /// objects (fault injectors, the connection budget, respawns) are
+    /// counted once.
     [[nodiscard]] serve::ServiceStats stats() const;
 
     /// Shard threads respawned by the supervisor so far.

@@ -7,7 +7,7 @@
 // leave a stale list behind in an error string or a --help screen.
 //
 // Order is load-bearing: the index of a name here is the index of its
-// per-explainer metrics slice (ServiceMetrics::explainer_*), so the array
+// per-explainer metrics slice (ServiceMetrics::explainers), so the array
 // is append-only.
 #pragma once
 

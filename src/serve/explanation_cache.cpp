@@ -22,6 +22,10 @@ std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t seed) noexcept {
     return fnv1a(bytes, seed);
 }
 
+std::uint64_t hash_string(const std::string& s, std::uint64_t seed) noexcept {
+    return fnv1a({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, seed);
+}
+
 CacheKey::CacheKey(std::span<const double> features, double quantum,
                    std::uint64_t context)
     : context_(context) {

@@ -20,6 +20,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -130,5 +131,7 @@ private:
 [[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
                                   std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
 [[nodiscard]] std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t seed) noexcept;
+/// fnv1a over the bytes of `s`, chained from `seed`.
+[[nodiscard]] std::uint64_t hash_string(const std::string& s, std::uint64_t seed) noexcept;
 
 }  // namespace xnfv::serve

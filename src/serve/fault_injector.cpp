@@ -4,32 +4,10 @@
 
 namespace xnfv::serve {
 
-bool FaultInjector::should_fire(FaultPoint point) noexcept {
-    const std::size_t i = index(point);
-    const double rate = config_.rate[i];
-    const std::uint64_t k = polls_[i].fetch_add(1, std::memory_order_relaxed);
-    if (rate <= 0.0) return false;
-    // Uniform in [0, 1) from the (seed, point, k) hash; fires when it lands
-    // under the configured rate — the k-th poll's verdict never changes.
+double fault_draw(std::uint64_t seed, std::size_t point, std::uint64_t k) noexcept {
     const std::uint64_t h =
-        fnv1a_u64(k, fnv1a_u64(static_cast<std::uint64_t>(i),
-                               fnv1a_u64(config_.seed, 0xcbf29ce484222325ULL)));
-    const double draw =
-        static_cast<double>(h >> 11) * 0x1.0p-53;  // top 53 bits -> [0, 1)
-    if (draw >= rate) return false;
-    const std::uint64_t cap = config_.max_fires[i];
-    const std::uint64_t nth = fired_[i].fetch_add(1, std::memory_order_relaxed);
-    if (cap != 0 && nth >= cap) {
-        fired_[i].fetch_sub(1, std::memory_order_relaxed);
-        return false;
-    }
-    return true;
-}
-
-std::uint64_t FaultInjector::total_fired() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& f : fired_) total += f.load(std::memory_order_relaxed);
-    return total;
+        fnv1a_u64(k, fnv1a_u64(point, fnv1a_u64(seed, 0xcbf29ce484222325ULL)));
+    return static_cast<double>(h >> 11) * 0x1.0p-53;  // top 53 bits -> [0, 1)
 }
 
 double FaultInjectingModel::predict(std::span<const double> x) const {

@@ -47,44 +47,72 @@ inline constexpr std::size_t kNumFaultPoints = 5;
     return "unknown";
 }
 
-/// Seeded, counter-driven fault schedule.  Thread-safe; a default
-/// (zero-rate) injector never fires.
-class FaultInjector {
+/// Uniform draw in [0, 1) for the k-th poll of failure point `point` under
+/// `seed`: the top 53 bits of an FNV-1a hash of (seed, point, k).
+[[nodiscard]] double fault_draw(std::uint64_t seed, std::size_t point,
+                                std::uint64_t k) noexcept;
+
+/// Seeded, counter-driven fault schedule over the N failure points of
+/// `Point` — the one schedule behind the compute-path injector below and
+/// the socket-path injector (net/chaos.hpp).  Thread-safe; a default
+/// (zero-rate) schedule never fires.
+template <class Point, std::size_t N>
+class FaultSchedule {
 public:
     struct Config {
         std::uint64_t seed = 0;
         /// Per-point firing probability in [0, 1] for each poll.
-        std::array<double, kNumFaultPoints> rate{};
+        std::array<double, N> rate{};
         /// Per-point cap on total fires; 0 = unlimited.  (worker_death with
         /// max_fires = 1 models "kill one worker during the run".)
-        std::array<std::uint64_t, kNumFaultPoints> max_fires{};
+        std::array<std::uint64_t, N> max_fires{};
     };
+    /// Caller-owned poll counters, for a schedule that must replay per
+    /// stream (net/chaos.hpp keeps one set per connection).
+    using Polls = std::array<std::uint64_t, N>;
 
-    FaultInjector() = default;
-    explicit FaultInjector(Config config) : config_(config) {}
+    FaultSchedule() = default;
+    explicit FaultSchedule(Config config) : config_(config) {}
 
-    /// Polls a failure point; true = the caller must act out the fault.
-    /// Deterministic per (seed, point, poll index).
-    [[nodiscard]] bool should_fire(FaultPoint point) noexcept;
-
-    [[nodiscard]] std::uint64_t polls(FaultPoint point) const noexcept {
-        return polls_[index(point)].load(std::memory_order_relaxed);
+    /// Polls a failure point, counting the poll in `local` when given and
+    /// in the schedule otherwise; true = the caller must act out the fault.
+    /// The k-th poll's verdict is a pure function of (seed, point, k), unless
+    /// the point's max_fires cap is spent (the fire is then rolled back).
+    [[nodiscard]] bool should_fire(Point point, Polls* local = nullptr) noexcept {
+        const auto i = static_cast<std::size_t>(point);
+        const std::uint64_t k =
+            local ? (*local)[i]++ : polls_[i].fetch_add(1, std::memory_order_relaxed);
+        const double rate = config_.rate[i];
+        if (rate <= 0.0 || fault_draw(config_.seed, i, k) >= rate) return false;
+        const std::uint64_t cap = config_.max_fires[i];
+        if (fired_[i].fetch_add(1, std::memory_order_relaxed) >= cap && cap != 0) {
+            fired_[i].fetch_sub(1, std::memory_order_relaxed);
+            return false;
+        }
+        return true;
     }
-    [[nodiscard]] std::uint64_t fired(FaultPoint point) const noexcept {
-        return fired_[index(point)].load(std::memory_order_relaxed);
+
+    [[nodiscard]] std::uint64_t polls(Point point) const noexcept {
+        return polls_[static_cast<std::size_t>(point)].load(std::memory_order_relaxed);
     }
-    [[nodiscard]] std::uint64_t total_fired() const noexcept;
+    [[nodiscard]] std::uint64_t fired(Point point) const noexcept {
+        return fired_[static_cast<std::size_t>(point)].load(std::memory_order_relaxed);
+    }
+    [[nodiscard]] std::uint64_t total_fired() const noexcept {
+        std::uint64_t total = 0;
+        for (const auto& f : fired_) total += f.load(std::memory_order_relaxed);
+        return total;
+    }
     [[nodiscard]] const Config& config() const noexcept { return config_; }
 
 private:
-    [[nodiscard]] static constexpr std::size_t index(FaultPoint point) noexcept {
-        return static_cast<std::size_t>(point);
-    }
-
     Config config_{};
-    std::array<std::atomic<std::uint64_t>, kNumFaultPoints> polls_{};
-    std::array<std::atomic<std::uint64_t>, kNumFaultPoints> fired_{};
+    std::array<std::atomic<std::uint64_t>, N> polls_{};
+    std::array<std::atomic<std::uint64_t>, N> fired_{};
 };
+
+/// The serving layer's injector over its named failure points.
+using FaultInjector = FaultSchedule<FaultPoint, kNumFaultPoints>;
 
 /// Null-safe poll: a service without an injector pays one pointer check.
 [[nodiscard]] inline bool fault_fires(FaultInjector* injector, FaultPoint point) noexcept {

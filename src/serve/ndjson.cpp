@@ -345,118 +345,6 @@ std::string render_response(const ExplainResponse& r) {
     return w.finish();
 }
 
-std::string render_stats(const ServiceStats& s) {
-    JsonWriter w;
-    w.field("ok", true);
-    w.field("op", "stats");
-    w.field("requests_accepted", s.requests_accepted);
-    w.field("requests_rejected", s.requests_rejected);
-    w.field("requests_completed", s.requests_completed);
-    w.field("requests_degraded", s.requests_degraded);
-    w.field("batches", s.batches);
-    w.field("batch_size_mean", s.batch_size_mean);
-    w.field("cache_hits", s.cache_hits);
-    w.field("cache_misses", s.cache_misses);
-    w.field("cache_hit_rate", s.cache_hit_rate());
-    w.field("cache_evictions", s.cache_evictions);
-    w.field("cache_epoch", s.cache_epoch);
-    w.field("drift_checks", s.drift_checks);
-    w.field("drift_flushes", s.drift_flushes);
-    w.field("adaptive_wait_us", s.adaptive_wait_us);
-    w.field("service_us_p50", s.service_us_p50);
-    w.field("service_us_p95", s.service_us_p95);
-    w.field("service_us_p99", s.service_us_p99);
-    w.field("model_evals", s.model_evals);
-    w.field("probe_rows_p50", s.probe_rows_p50);
-    w.field("probe_rows_mean", s.probe_rows_mean);
-    w.field("probe_rows_max", s.probe_rows_max);
-    w.field("fast_path_hits", s.fast_path_hits);
-    {
-        // Per-explainer slices, only explainers that computed something.
-        std::string explainers = "[";
-        for (const ExplainerSliceStats& e : s.explainers) {
-            if (explainers.size() > 1) explainers += ',';
-            JsonWriter ew;
-            ew.field("name", e.name);
-            ew.field("requests", e.requests);
-            ew.field("fast_path_hits", e.fast_path_hits);
-            ew.field("compute_us_p50", e.compute_us_p50);
-            ew.field("compute_us_p99", e.compute_us_p99);
-            ew.field("compute_us_mean", e.compute_us_mean);
-            explainers += ew.finish();
-        }
-        explainers += ']';
-        w.field_raw("explainers", explainers);
-    }
-    w.field("worker_respawns", s.worker_respawns);
-    w.field("worker_stalls", s.worker_stalls);
-    w.field("faults_injected", s.faults_injected);
-    w.field("snapshot_writes", s.snapshot_writes);
-    w.field("snapshot_records_loaded", s.snapshot_records_loaded);
-    w.field("snapshot_records_skipped", s.snapshot_records_skipped);
-    if (s.net_enabled) {
-        w.field("net_shards", s.net_shards);
-        w.field("connections_accepted", s.connections_accepted);
-        w.field("connections_active", s.connections_active);
-        w.field("connections_rejected", s.connections_rejected);
-        w.field("connections_closed_idle", s.connections_closed_idle);
-        w.field("connections_closed_backpressure", s.connections_closed_backpressure);
-        w.field("net_bytes_in", s.net_bytes_in);
-        w.field("net_bytes_out", s.net_bytes_out);
-        w.field("net_requests", s.net_requests);
-        w.field("conn_requests_p50", s.conn_requests_p50);
-        w.field("conn_requests_max", s.conn_requests_max);
-        w.field("net_faults_injected", s.net_faults_injected);
-        w.field("net_retry_duplicates", s.net_retry_duplicates);
-        w.field("net_shard_respawns", s.net_shard_respawns);
-    }
-    {
-        // {"queue_full":2,...} — only reasons that occurred.
-        std::string by_reason = "{";
-        for (std::size_t i = 1; i < kNumServeErrors; ++i) {
-            if (s.errors_by_reason[i] == 0) continue;
-            if (by_reason.size() > 1) by_reason += ',';
-            by_reason += '"';
-            by_reason += to_string(static_cast<ServeError>(i));
-            by_reason += "\":" + std::to_string(s.errors_by_reason[i]);
-        }
-        by_reason += '}';
-        w.field_raw("errors_by_reason", by_reason);
-    }
-    w.field("models_registered", s.models_registered);
-    w.field("model_swaps", s.model_swaps);
-    {
-        // Per-model registry slice, in registration order.
-        std::string models = "[";
-        for (const ModelServiceStats& m : s.models) {
-            if (models.size() > 1) models += ',';
-            JsonWriter mw;
-            mw.field("name", m.name);
-            mw.field("fingerprint", m.fingerprint);
-            mw.field("admitted", m.admitted);
-            mw.field("rejected_quota", m.rejected_quota);
-            mw.field("swaps", m.swaps);
-            mw.field("evals", m.evals);
-            mw.field("completed", m.completed);
-            mw.field("cache_entries", m.cache_entries);
-            mw.field("cache_evictions", m.cache_evictions);
-            mw.field("cache_epoch", m.cache_epoch);
-            mw.field("queued", m.queued);
-            mw.field("weight", m.weight);
-            mw.field("quota", m.quota);
-            mw.field("base_value", m.base_value);
-            mw.field("breaker_state", m.breaker_state);
-            mw.field("breaker_opens", m.breaker_opens);
-            mw.field("breaker_rejected", m.breaker_rejected);
-            models += mw.finish();
-        }
-        models += ']';
-        w.field_raw("models", models);
-    }
-    w.field("report", s.to_string());
-    return w.finish();
-}
-
 std::string json_escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());

@@ -118,10 +118,6 @@ private:
 /// it, so a served explanation is byte-identical on either transport.
 [[nodiscard]] std::string render_response(const ExplainResponse& response);
 
-/// Renders a stats snapshot as the `{"op":"stats"}` response payload.  Net
-/// front-end fields are included only when `stats.net_enabled` is set.
-[[nodiscard]] std::string render_stats(const ServiceStats& stats);
-
 /// Escapes a string for embedding inside JSON quotes ("\n" -> "\\n", ...).
 [[nodiscard]] std::string json_escape(const std::string& s);
 

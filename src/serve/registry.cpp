@@ -18,10 +18,6 @@ namespace xai = xnfv::xai;
 
 namespace {
 
-[[nodiscard]] std::uint64_t hash_string(const std::string& s, std::uint64_t seed) {
-    return fnv1a({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, seed);
-}
-
 void set_why(std::string* why, std::string message) {
     if (why != nullptr) *why = std::move(message);
 }

@@ -142,7 +142,8 @@ public:
     ExplanationCache cache;
     std::atomic<std::uint64_t> epoch{0};
 
-    // Per-model counters (ServiceStats::models).
+    // Per-model counters (ServiceStats::models).  Registry state: they
+    // survive op=stats_reset, like the entry's cache.
     Counter admitted;
     Counter rejected_quota;
     Counter swaps;

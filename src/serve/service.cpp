@@ -35,10 +35,6 @@ namespace {
         std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
 }
 
-[[nodiscard]] std::uint64_t hash_string(const std::string& s, std::uint64_t seed) {
-    return fnv1a({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, seed);
-}
-
 [[nodiscard]] std::uint64_t background_fingerprint(const xai::BackgroundData& bg) {
     const auto data = bg.samples().data();
     std::uint64_t h = fnv1a_u64(bg.samples().cols(), 0xcbf29ce484222325ULL);
@@ -312,7 +308,7 @@ ExplanationService::Submission ExplanationService::submit(ExplainRequest request
     if (reject != ServeError::none) {
         out.rejected = reject;
         out.response = {};
-        metrics_.requests_rejected.inc();
+        metrics_.inc(&ServiceStats::requests_rejected);
         metrics_.count_error(reject);
         if (entry && reject == ServeError::quota_exceeded) entry->rejected_quota.inc();
         // prepare_job admitted (possibly as a half-open probe) but the
@@ -321,7 +317,7 @@ ExplanationService::Submission ExplanationService::submit(ExplainRequest request
         return out;
     }
     entry->admitted.inc();
-    metrics_.requests_accepted.inc();
+    metrics_.inc(&ServiceStats::requests_accepted);
     metrics_.queue_depth.set(queue_.size());
     return out;
 }
@@ -338,14 +334,14 @@ ServeError ExplanationService::submit_async(
         reject = queue_.try_push(std::move(job));
     }
     if (reject != ServeError::none) {
-        metrics_.requests_rejected.inc();
+        metrics_.inc(&ServiceStats::requests_rejected);
         metrics_.count_error(reject);
         if (entry && reject == ServeError::quota_exceeded) entry->rejected_quota.inc();
         if (entry) entry->breaker_abandon(config_.breaker);
         return reject;
     }
     entry->admitted.inc();
-    metrics_.requests_accepted.inc();
+    metrics_.inc(&ServiceStats::requests_accepted);
     metrics_.queue_depth.set(queue_.size());
     return ServeError::none;
 }
@@ -424,7 +420,7 @@ void ExplanationService::watchdog_loop() {
             dispatcher_exited_.store(false, std::memory_order_release);
             heartbeat();
             dispatcher_ = std::thread([this] { dispatcher_loop(); });
-            metrics_.worker_respawns.inc();
+            metrics_.inc(&ServiceStats::worker_respawns);
         }
 
         // Stall detection: a stale heartbeat while work is waiting.  A stuck
@@ -434,7 +430,7 @@ void ExplanationService::watchdog_loop() {
             Clock::duration(heartbeat_ns_.load(std::memory_order_relaxed)));
         const bool stale =
             queue_.size() > 0 && Clock::now() - hb > config_.watchdog_stall_threshold;
-        if (stale && !stalled) metrics_.worker_stalls.inc();
+        if (stale && !stalled) metrics_.inc(&ServiceStats::worker_stalls);
         stalled = stale;
 
         if (!config_.snapshot_path.empty() && config_.snapshot_interval.count() > 0 &&
@@ -622,7 +618,7 @@ ExplainResponse ExplanationService::run_request(const Job& job,
 }
 
 void ExplanationService::execute_batch(std::vector<Job> batch) {
-    metrics_.batches.inc();
+    metrics_.inc(&ServiceStats::batches);
     metrics_.batch_size.record(batch.size());
 
     // One clock read per batch; the clock_skew fault jumps it forward, which
@@ -669,13 +665,13 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
             responses[i].ok = true;
             responses[i].cache_hit = true;
             responses[i].explanation = std::move(*cached);
-            metrics_.cache_hits.inc();
+            metrics_.inc(&ServiceStats::cache_hits);
         } else if (const auto it = level_inflight.find(keys[i]);
                    it != level_inflight.end()) {
             duplicates.emplace_back(i, it->second);
         } else {
             level_inflight.emplace(keys[i], i);
-            metrics_.cache_misses.inc();
+            metrics_.inc(&ServiceStats::cache_misses);
             to_compute.push_back(i);
         }
     }
@@ -701,21 +697,21 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
         responses[i] = responses[primary];
         responses[i].id = id;
         responses[i].cache_hit = responses[i].ok;
-        metrics_.cache_hits.inc();
+        metrics_.inc(&ServiceStats::cache_hits);
     }
     for (std::size_t k = 0; k < to_compute.size(); ++k) {
         const std::size_t i = to_compute[k];
         metrics_.compute_time_us.record(compute_us[k]);
-        metrics_.model_evals.inc(outcomes[k].probe_rows);
+        metrics_.inc(&ServiceStats::model_evals, outcomes[k].probe_rows);
         batch[i].model_entry->evals.inc(outcomes[k].probe_rows);
         if (responses[i].ok) metrics_.probe_rows.record(outcomes[k].probe_rows);
         if (const std::size_t ei = outcomes[k].explainer;
             responses[i].ok && ei < kNumExplainers) {
-            metrics_.explainer_requests[ei].inc();
-            metrics_.explainer_compute_us[ei].record(compute_us[k]);
+            metrics_.explainers[ei].requests.inc();
+            metrics_.explainers[ei].compute_us.record(compute_us[k]);
             if (outcomes[k].fast_path) {
-                metrics_.fast_path_hits.inc();
-                metrics_.explainer_fast_hits[ei].inc();
+                metrics_.inc(&ServiceStats::fast_path_hits);
+                metrics_.explainers[ei].fast_path_hits.inc();
             }
         }
         if (responses[i].ok && levels[i] == DegradeLevel::full) {
@@ -731,14 +727,14 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     const auto done = Clock::now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
         metrics_.service_time_us.record(elapsed_us(batch[i].enqueued_at, done));
-        metrics_.requests_completed.inc();
+        metrics_.inc(&ServiceStats::requests_completed);
         batch[i].model_entry->completed.inc();
         batch[i].model_entry->breaker_record(config_.breaker, responses[i].ok);
         if (responses[i].ok)
             batch[i].model_snapshot->base_value.store(
                 responses[i].explanation.base_value, std::memory_order_relaxed);
         if (responses[i].ok) {
-            if (responses[i].degraded) metrics_.requests_degraded.inc();
+            if (responses[i].degraded) metrics_.inc(&ServiceStats::requests_degraded);
         } else {
             metrics_.count_error(responses[i].error_code);
         }
@@ -802,13 +798,13 @@ void ExplanationService::observe_attributions(
     current.mean_signed = mean_of(d.cur_signed, d.cur_count);
     current.num_instances = d.cur_count;
 
-    metrics_.drift_checks.inc();
+    metrics_.inc(&ServiceStats::drift_checks);
     try {
         const auto report =
             xai::attribution_drift(reference, current, config_.drift_thresholds);
         if (report.drifted) {
             entry.epoch.fetch_add(1, std::memory_order_relaxed);
-            metrics_.drift_flushes.inc();
+            metrics_.inc(&ServiceStats::drift_flushes);
         }
     } catch (const std::exception&) {
         // Degenerate windows (all-zero attributions) are not drift.
@@ -843,8 +839,8 @@ void ExplanationService::load_snapshot() {
         for (SnapshotRecord& rec : result.records)
             entry->cache.insert(CacheKey(std::move(rec.key_words), rec.key_context),
                                 std::move(rec.explanation));
-        metrics_.snapshot_records_loaded.inc(result.records.size());
-        metrics_.snapshot_records_skipped.inc(result.skipped);
+        metrics_.inc(&ServiceStats::snapshot_records_loaded, result.records.size());
+        metrics_.inc(&ServiceStats::snapshot_records_skipped, result.skipped);
     }
 }
 
@@ -861,7 +857,7 @@ void ExplanationService::save_snapshot() {
                                     config_.cache_quantum};
         const std::string path = snapshot_path_for(*entry, snap->fingerprint);
         if (!write_snapshot(path, header, records)) continue;
-        metrics_.snapshot_writes.inc();
+        metrics_.inc(&ServiceStats::snapshot_writes);
         // cache_corrupt fault: flip one byte mid-file, so the next startup
         // must exercise the reader's skip-and-resync path for real.
         if (fault_fires(config_.fault_injector.get(), FaultPoint::cache_corrupt)) {
@@ -883,52 +879,9 @@ void ExplanationService::save_snapshot() {
 }
 
 ServiceStats ExplanationService::stats() const {
-    ServiceStats s;
-    s.requests_accepted = metrics_.requests_accepted.value();
-    s.requests_rejected = metrics_.requests_rejected.value();
-    s.requests_completed = metrics_.requests_completed.value();
-    s.requests_degraded = metrics_.requests_degraded.value();
-    s.batches = metrics_.batches.value();
-    s.cache_hits = metrics_.cache_hits.value();
-    s.cache_misses = metrics_.cache_misses.value();
-    for (std::size_t i = 0; i < kNumServeErrors; ++i)
-        s.errors_by_reason[i] = metrics_.errors_by_reason[i].value();
-    s.worker_respawns = metrics_.worker_respawns.value();
-    s.worker_stalls = metrics_.worker_stalls.value();
+    ServiceStats s = metrics_.snapshot();
     s.faults_injected =
         config_.fault_injector ? config_.fault_injector->total_fired() : 0;
-    s.snapshot_writes = metrics_.snapshot_writes.value();
-    s.snapshot_records_loaded = metrics_.snapshot_records_loaded.value();
-    s.snapshot_records_skipped = metrics_.snapshot_records_skipped.value();
-    s.queue_depth = metrics_.queue_depth.value();
-    s.queue_depth_max = metrics_.queue_depth.max();
-    s.batch_size_mean = metrics_.batch_size.mean();
-    s.batch_size_max = metrics_.batch_size.max();
-    s.service_us_p50 = metrics_.service_time_us.quantile(0.50);
-    s.service_us_p95 = metrics_.service_time_us.quantile(0.95);
-    s.service_us_p99 = metrics_.service_time_us.quantile(0.99);
-    s.service_us_mean = metrics_.service_time_us.mean();
-    s.compute_us_mean = metrics_.compute_time_us.mean();
-    s.model_evals = metrics_.model_evals.value();
-    s.probe_rows_p50 = metrics_.probe_rows.quantile(0.50);
-    s.probe_rows_mean = metrics_.probe_rows.mean();
-    s.probe_rows_max = metrics_.probe_rows.max();
-    s.fast_path_hits = metrics_.fast_path_hits.value();
-    for (std::size_t i = 0; i < kNumExplainers; ++i) {
-        const std::uint64_t requests = metrics_.explainer_requests[i].value();
-        if (requests == 0) continue;
-        ExplainerSliceStats e;
-        e.name = kExplainerNames[i];
-        e.requests = requests;
-        e.fast_path_hits = metrics_.explainer_fast_hits[i].value();
-        e.compute_us_p50 = metrics_.explainer_compute_us[i].quantile(0.50);
-        e.compute_us_p99 = metrics_.explainer_compute_us[i].quantile(0.99);
-        e.compute_us_mean = metrics_.explainer_compute_us[i].mean();
-        s.explainers.push_back(std::move(e));
-    }
-    s.drift_checks = metrics_.drift_checks.value();
-    s.drift_flushes = metrics_.drift_flushes.value();
-    s.adaptive_wait_us = metrics_.adaptive_wait_us.value();
 
     // Registry section: per-model slices in registration order.  The
     // top-level cache occupancy/epoch fields report fleet totals (epoch:
@@ -941,12 +894,8 @@ ServiceStats ExplanationService::stats() const {
         const CacheStats cs = entry->cache.stats();
         ModelServiceStats m;
         m.name = entry->name;
+        read_model_metrics(*entry, m);
         m.fingerprint = fingerprint_hex(snap->fingerprint);
-        m.admitted = entry->admitted.value();
-        m.rejected_quota = entry->rejected_quota.value();
-        m.swaps = entry->swaps.value();
-        m.evals = entry->evals.value();
-        m.completed = entry->completed.value();
         m.cache_entries = cs.entries;
         m.cache_evictions = cs.evictions;
         m.cache_epoch = entry->epoch.load(std::memory_order_relaxed);
@@ -955,8 +904,6 @@ ServiceStats ExplanationService::stats() const {
         m.quota = entry->quota.load(std::memory_order_relaxed);
         m.base_value = snap->base_value.load(std::memory_order_relaxed);
         m.breaker_state = static_cast<std::uint64_t>(entry->breaker_state());
-        m.breaker_opens = entry->breaker_opens.value();
-        m.breaker_rejected = entry->breaker_rejected.value();
         s.cache_entries += m.cache_entries;
         s.cache_evictions += m.cache_evictions;
         s.model_swaps += m.swaps;

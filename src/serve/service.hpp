@@ -271,6 +271,10 @@ public:
     /// Snapshot of all counters/histograms plus cache occupancy.
     [[nodiscard]] ServiceStats stats() const;
 
+    /// The recorders behind stats().  A TCP front-end records its
+    /// connection events here, so one stats_reset covers both layers.
+    [[nodiscard]] ServiceMetrics& metrics() const noexcept { return metrics_; }
+
     /// Zeroes every counter and histogram (ServiceMetrics::reset) so the
     /// next stats() covers only traffic after this call — the per-phase SLO
     /// measurement primitive behind the `stats_reset` ND-JSON op.  Registry

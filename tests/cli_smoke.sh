@@ -81,7 +81,7 @@ SRV=$!
 PORT=""
 i=0
 while [ $i -lt 100 ]; do
-  PORT=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp.out")
+  PORT=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp.out" 2>/dev/null || true)
   [ -n "$PORT" ] && break
   i=$((i + 1))
   sleep 0.1
@@ -106,7 +106,7 @@ SRV2=$!
 PORT2=""
 i=0
 while [ $i -lt 100 ]; do
-  PORT2=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp2.out")
+  PORT2=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp2.out" 2>/dev/null || true)
   [ -n "$PORT2" ] && break
   i=$((i + 1))
   sleep 0.1
@@ -138,7 +138,7 @@ SRV3=$!
 PORT3=""
 i=0
 while [ $i -lt 100 ]; do
-  PORT3=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp3.out")
+  PORT3=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp3.out" 2>/dev/null || true)
   [ -n "$PORT3" ] && break
   i=$((i + 1))
   sleep 0.1

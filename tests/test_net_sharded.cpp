@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -497,4 +498,200 @@ TEST(ShardedAdmin, StatsResetZerosEveryShardOverTcp) {
     server.request_drain();
     loop.join();
     server.stop_services();
+}
+
+TEST(ShardedStats, SharedFaultInjectorCountsEachFireOnce) {
+    // Every shard's service polls the one FaultInjector the fleet shares, so
+    // its fire count is a fleet fact, read once: fleet faults_injected must
+    // equal the fault answers actually served and the injector's own total.
+    const auto& s = scenario();
+    serve::FaultInjector::Config fi;
+    fi.seed = 7;
+    fi.rate[static_cast<std::size_t>(serve::FaultPoint::predict_throw)] = 0.5;
+    const auto injector = std::make_shared<serve::FaultInjector>(fi);
+    auto cfg = service_config();
+    cfg.fault_injector = injector;
+    net::ShardedServerConfig shcfg;
+    shcfg.shards = 2;
+    net::ShardedServer server(s.forest, s.background, cfg, shcfg);
+    server.set_row_lookup(row_lookup());
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::thread loop([&server] { server.run(); });
+
+    // Distinct rows: fault answers are never cached, and no request can be
+    // answered without computing.
+    std::vector<std::vector<std::string>> scripts(8);
+    for (std::size_t c = 0; c < scripts.size(); ++c)
+        for (std::size_t r = 0; r < 10; ++r)
+            scripts[c].push_back(row_request(c * 10 + r + 1, c * 10 + r, "tree_shap"));
+    net::LoadgenConfig lg;
+    lg.port = server.port();
+    lg.window = 2;
+    lg.shutdown_writes = true;
+    lg.timeout = std::chrono::milliseconds(60000);
+    const auto report = net::run_load(lg, scripts);
+    const auto stats = server.stats();
+    server.request_drain();
+    loop.join();
+    server.stop_services();
+
+    ASSERT_FALSE(report.timed_out);
+    std::uint64_t answered = 0, faulted = 0;
+    for (const auto& conn : report.conns)
+        for (const auto& line : conn.lines) {
+            ++answered;
+            if (line.find("\"error_code\":\"fault_injected\"") != std::string::npos)
+                ++faulted;
+        }
+    EXPECT_EQ(answered, 80u);
+    EXPECT_GT(faulted, 0u);
+    EXPECT_EQ(injector->total_fired(), faulted);
+    EXPECT_EQ(stats.faults_injected, faulted);
+    EXPECT_EQ(stats.errors_by_reason[static_cast<std::size_t>(
+                  serve::ServeError::fault_injected)],
+              faulted);
+}
+
+namespace {
+
+/// Key order of one rendered stats line: the top-level keys, and for each
+/// top-level array of objects, every element's keys.
+struct KeyOrder {
+    std::vector<std::string> top;
+    std::map<std::string, std::vector<std::vector<std::string>>> elements;
+};
+
+KeyOrder key_order(const std::string& json) {
+    KeyOrder out;
+    int depth = 0;
+    std::string parent;
+    for (std::size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (c == '"') {
+            std::string text;
+            for (++i; json[i] != '"'; ++i) {
+                if (json[i] == '\\') ++i;
+                text += json[i];
+            }
+            if (i + 1 < json.size() && json[i + 1] == ':') {
+                if (depth == 1) parent = text, out.top.push_back(text);
+                if (depth == 3) out.elements[parent].back().push_back(text);
+            }
+        } else if (c == '{' || c == '[') {
+            if (++depth == 3 && c == '{') out.elements[parent].emplace_back();
+        } else if (c == '}' || c == ']') {
+            --depth;
+        }
+    }
+    return out;
+}
+
+/// Sends `lines` one at a time over a fresh connection, then a stats frame;
+/// returns the stats line.
+std::string stats_after(std::uint16_t port, const std::vector<std::string>& lines) {
+    net::Client client;
+    std::string error, reply;
+    EXPECT_TRUE(client.connect("127.0.0.1", port, &error)) << error;
+    for (const auto& line : lines) {
+        EXPECT_TRUE(client.send_line(line));
+        EXPECT_TRUE(client.recv_line(reply, 30s));
+    }
+    EXPECT_TRUE(client.send_line(R"({"op":"stats"})"));
+    EXPECT_TRUE(client.recv_line(reply, 30s));
+    return reply;
+}
+
+}  // namespace
+
+TEST(ShardedStats, StatsKeysKeepTheirWireOrderOnEveryServer) {
+    // The wire contract of `stats`: every top-level key in order, and the
+    // keys of each explainers[] and models[] element.
+    const std::vector<std::string> head{
+        "ok", "op", "requests_accepted", "requests_rejected", "requests_completed",
+        "requests_degraded", "batches", "batch_size_mean", "cache_hits", "cache_misses",
+        "cache_hit_rate", "cache_evictions", "cache_epoch", "drift_checks",
+        "drift_flushes", "adaptive_wait_us", "service_us_p50", "service_us_p95",
+        "service_us_p99", "model_evals", "probe_rows_p50", "probe_rows_mean",
+        "probe_rows_max", "fast_path_hits", "explainers", "worker_respawns",
+        "worker_stalls", "faults_injected", "snapshot_writes", "snapshot_records_loaded",
+        "snapshot_records_skipped"};
+    const std::vector<std::string> net_keys{
+        "net_shards", "connections_accepted", "connections_active",
+        "connections_rejected", "connections_closed_idle",
+        "connections_closed_backpressure", "net_bytes_in", "net_bytes_out",
+        "net_requests", "conn_requests_p50", "conn_requests_max", "net_faults_injected",
+        "net_retry_duplicates", "net_shard_respawns"};
+    const std::vector<std::string> tail{"errors_by_reason", "models_registered",
+                                        "model_swaps", "models", "report"};
+    const std::vector<std::string> explainer_keys{
+        "name", "requests", "fast_path_hits", "compute_us_p50", "compute_us_p99",
+        "compute_us_mean"};
+    const std::vector<std::string> model_keys{
+        "name", "fingerprint", "admitted", "rejected_quota", "swaps", "evals", "completed",
+        "cache_entries", "cache_evictions", "cache_epoch", "queued", "weight", "quota",
+        "base_value", "breaker_state", "breaker_opens", "breaker_rejected"};
+
+    const std::vector<std::string> traffic{
+        row_request(1, 1, "tree_shap"), row_request(2, 1, "tree_shap"),
+        row_request(3, 2, "occlusion")};
+    const auto& s = scenario();
+
+    std::vector<std::pair<std::string, std::string>> rendered;  // (server, line)
+    {
+        serve::ExplanationService service(s.forest, s.background, service_config());
+        for (const auto& line : traffic) {
+            const auto req = serve::parse_json(line);
+            serve::ExplainRequest r;
+            r.id = static_cast<std::uint64_t>(req.get_number("id", 0));
+            r.method = req.get_string("method", "");
+            r.seed = kSeed;
+            const auto x = s.data.x.row(static_cast<std::size_t>(req.get_number("row", 0)));
+            r.features.assign(x.begin(), x.end());
+            ASSERT_TRUE(service.explain_sync(std::move(r)).ok);
+        }
+        rendered.emplace_back("in-process", serve::render_stats(service.stats()));
+    }
+    {
+        serve::ExplanationService service(s.forest, s.background, service_config());
+        net::ExplanationServer server(service);
+        server.set_row_lookup(row_lookup());
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        std::thread loop([&server] { server.run(); });
+        rendered.emplace_back("single-loop", stats_after(server.port(), traffic));
+        server.request_drain();
+        loop.join();
+        service.stop();
+    }
+    {
+        net::ShardedServerConfig shcfg;
+        shcfg.shards = 2;
+        net::ShardedServer server(s.forest, s.background, service_config(), shcfg);
+        server.set_row_lookup(row_lookup());
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        std::thread loop([&server] { server.run(); });
+        rendered.emplace_back("2-shard", stats_after(server.port(), traffic));
+        server.request_drain();
+        loop.join();
+        server.stop_services();
+    }
+
+    for (const auto& [name, line] : rendered) {
+        SCOPED_TRACE(name);
+        auto want = head;
+        if (name != "in-process") want.insert(want.end(), net_keys.begin(), net_keys.end());
+        want.insert(want.end(), tail.begin(), tail.end());
+        const auto keys = key_order(line);
+        EXPECT_EQ(keys.top, want);
+        ASSERT_EQ(keys.elements.count("explainers"), 1u);
+        EXPECT_EQ(keys.elements.at("explainers").size(), 2u);
+        for (const auto& element : keys.elements.at("explainers"))
+            EXPECT_EQ(element, explainer_keys);
+        ASSERT_EQ(keys.elements.count("models"), 1u);
+        EXPECT_EQ(keys.elements.at("models").size(), 1u);
+        for (const auto& element : keys.elements.at("models"))
+            EXPECT_EQ(element, model_keys);
+    }
 }

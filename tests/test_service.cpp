@@ -4,11 +4,13 @@
 // metrics, the ND-JSON codec, and the assembled ExplanationService.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -237,6 +239,127 @@ TEST(Metrics, StatsReportContainsEveryKeyFigure) {
     EXPECT_NE(report.find("hit-rate 0.750"), std::string::npos);
     EXPECT_NE(report.find("p99 1234.5"), std::string::npos);
     EXPECT_DOUBLE_EQ(s.cache_hit_rate(), 0.75);
+}
+
+TEST(Metrics, MergedSnapshotsEqualOneHistogramOverEverySample) {
+    // Fixed geometric bounds make a snapshot merge exact: N shard histograms
+    // merged must be indistinguishable from one histogram fed every sample.
+    constexpr std::size_t kShards = 4;
+    std::array<serve::Histogram, kShards> shards;
+    serve::Histogram all;
+    std::mt19937_64 rng(2020);
+    for (std::size_t i = 0; i < 5000; ++i) {
+        // Log-uniform over [0, 2^40): every bucket range gets exercised.
+        const std::uint64_t v = rng() >> (24 + rng() % 40);
+        shards[rng() % kShards].record(v);
+        all.record(v);
+    }
+    serve::HistogramSnapshot merged;
+    for (const auto& h : shards) merged.merge(h.snapshot());
+    const auto want = all.snapshot();
+    EXPECT_EQ(merged.buckets, want.buckets);
+    EXPECT_EQ(merged.count, want.count);
+    EXPECT_EQ(merged.sum, want.sum);
+    EXPECT_EQ(merged.min, want.min);
+    EXPECT_EQ(merged.max, want.max);
+    for (const double q : {0.5, 0.95, 0.99}) {
+        EXPECT_EQ(merged.quantile(q), all.quantile(q)) << "q=" << q;
+        EXPECT_EQ(merged.quantile(q), want.quantile(q)) << "q=" << q;
+    }
+    EXPECT_EQ(merged.mean(), all.mean());
+    // Empty snapshots are the merge identity.
+    serve::HistogramSnapshot empty;
+    empty.merge(want);
+    EXPECT_EQ(empty, want);
+    empty.merge(serve::HistogramSnapshot{});
+    EXPECT_EQ(empty, want);
+}
+
+TEST(Metrics, FleetMeansWeighEverySampleNotAProxyCount) {
+    // probe_rows records only ok explanations and conn_requests only closed
+    // connections, so weighting shard means by cache misses or by accepted
+    // connections is wrong whenever errors or open connections exist.  The
+    // merged snapshot must equal one recorder fed both shards' events.
+    serve::ServiceMetrics a, b, all;
+    const auto miss = [](serve::ServiceMetrics& m, std::uint64_t rows, bool ok) {
+        m.inc(&serve::ServiceStats::cache_misses);
+        if (ok) m.probe_rows.record(rows);
+    };
+    const auto conn = [](serve::ServiceMetrics& m, std::uint64_t requests, bool closed) {
+        m.inc(&serve::ServiceStats::connections_accepted);
+        if (closed) m.conn_requests.record(requests);
+    };
+    // Shard a: three ok explanations and seven errors; two connections
+    // closed and three still open.  Shard b: everything ok and closed.
+    for (const auto rows : {100u, 200u, 300u})
+        for (auto* m : {&a, &all}) miss(*m, rows, true);
+    for (int i = 0; i < 7; ++i)
+        for (auto* m : {&a, &all}) miss(*m, 0, false);
+    for (auto* m : {&b, &all}) miss(*m, 4000, true);
+    for (const auto& [requests, closed] :
+         {std::pair{2u, true}, {6u, true}, {1u, false}, {9u, false}, {5u, false}})
+        for (auto* m : {&a, &all}) conn(*m, requests, closed);
+    for (const auto requests : {40u, 50u, 60u})
+        for (auto* m : {&b, &all}) conn(*m, requests, true);
+
+    const std::vector<serve::ServiceStats> shards{a.snapshot(), b.snapshot()};
+    const auto fleet = serve::merge_stats(shards);
+    const auto want = all.snapshot();
+    EXPECT_EQ(fleet.probe_rows_mean, (100.0 + 200.0 + 300.0 + 4000.0) / 4.0);
+    EXPECT_EQ(fleet.probe_rows_mean, want.probe_rows_mean);
+    EXPECT_EQ(fleet.probe_rows_p50, want.probe_rows_p50);
+    EXPECT_EQ(fleet.probe_rows_max, 4000u);
+    EXPECT_EQ(fleet.conn_requests_mean, (2.0 + 6.0 + 40.0 + 50.0 + 60.0) / 5.0);
+    EXPECT_EQ(fleet.conn_requests_mean, want.conn_requests_mean);
+    EXPECT_EQ(fleet.conn_requests_p50, want.conn_requests_p50);
+    EXPECT_EQ(fleet.cache_misses, 11u);
+    EXPECT_EQ(fleet.connections_accepted, 8u);
+}
+
+TEST(Metrics, MergeRulesFollowTheTable) {
+    serve::ServiceMetrics a, b;
+    a.queue_depth.set(7);
+    a.queue_depth.set(2);
+    b.queue_depth.set(5);
+    auto sa = a.snapshot(), sb = b.snapshot();
+    // Facts every shard reads from one shared object, or that the admin
+    // fan-out copies to every shard, count once.
+    sa.faults_injected = sb.faults_injected = 9;
+    sa.models_registered = sb.models_registered = 2;
+    sa.net_enabled = sb.net_enabled = true;
+    sa.net_shards = sb.net_shards = 1;
+    sa.net_faults_injected = sb.net_faults_injected = 4;
+    sa.derive();
+    sb.derive();
+    const auto model = [](std::uint64_t admitted, std::uint64_t breaker_state) {
+        serve::ModelServiceStats m;
+        m.name = "m";
+        m.admitted = admitted;
+        m.swaps = 1;
+        m.breaker_state = breaker_state;
+        return m;
+    };
+    sa.models = {model(3, 2)};  // half-open
+    sb.models = {model(4, 1)};  // open
+    const std::vector<serve::ServiceStats> shards{sa, sb};
+    const auto fleet = serve::merge_stats(shards);
+    EXPECT_EQ(fleet.queue_depth, 7u);      // levels sum
+    EXPECT_EQ(fleet.queue_depth_max, 7u);  // the deepest shard queue, not 12
+    EXPECT_EQ(fleet.faults_injected, 9u);
+    EXPECT_EQ(fleet.models_registered, 2u);
+    EXPECT_EQ(fleet.net_shards, 2u);
+    EXPECT_EQ(fleet.net_faults_injected, 4u);
+    EXPECT_EQ(fleet.errors_by_reason[static_cast<std::size_t>(
+                  serve::ServeError::net_fault_injected)],
+              4u);
+    ASSERT_EQ(fleet.models.size(), 1u);
+    EXPECT_EQ(fleet.models[0].admitted, 7u);
+    EXPECT_EQ(fleet.models[0].swaps, 1u);
+    EXPECT_EQ(fleet.models[0].breaker_state, 1u);  // open outranks half-open
+
+    // Merging one shard returns its values unchanged, byte for byte.
+    const std::vector<serve::ServiceStats> one{sa};
+    EXPECT_EQ(serve::render_stats(serve::merge_stats(one)), serve::render_stats(sa));
 }
 
 // --------------------------------------------------------------- ndjson ---
