@@ -1,10 +1,10 @@
 // Thread pool and deterministic data-parallel loops.
 //
 // Every hot loop in the explanation stack (coalition evaluation, permutation
-// sweeps, LIME neighborhoods, PDP grids, batch prediction) is embarrassingly
-// parallel, but the project's reproducibility contract demands that results
-// are *bitwise identical* for 1 thread and N threads.  The utilities here
-// make that easy to uphold:
+// sweeps, LIME neighborhoods, PDP grids, row-level explain_batch) is
+// embarrassingly parallel, but the project's reproducibility contract demands
+// that results are *bitwise identical* for 1 thread and N threads.  The
+// utilities here make that easy to uphold:
 //
 //  * work is partitioned by *item index*, never by thread id — a task only
 //    writes slots keyed by its indices, so the partition cannot leak into

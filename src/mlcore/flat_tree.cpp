@@ -55,8 +55,7 @@ void FlatEnsemble::add_tree(std::span<const TreeNode> nodes) {
     depth_.push_back(max_depth);
 }
 
-void FlatEnsemble::accumulate(const Matrix& x, std::size_t row_begin,
-                              std::size_t row_end, double scale,
+void FlatEnsemble::accumulate(const Matrix& x, double scale,
                               std::span<double> acc) const {
     const std::int32_t* const feat = feature_.data();
     const double* const thr = threshold_.data();
@@ -69,8 +68,9 @@ void FlatEnsemble::accumulate(const Matrix& x, std::size_t row_begin,
     const auto safe = [](std::int32_t f) noexcept { return f & ~(f >> 31); };
 
     constexpr std::size_t kLanes = 8;
-    for (std::size_t b0 = row_begin; b0 < row_end; b0 += kRowBlock) {
-        const std::size_t b1 = std::min(b0 + kRowBlock, row_end);
+    const std::size_t rows = x.rows();
+    for (std::size_t b0 = 0; b0 < rows; b0 += kRowBlock) {
+        const std::size_t b1 = std::min(b0 + kRowBlock, rows);
         for (std::size_t t = 0; t < roots_.size(); ++t) {
             const std::int32_t root = roots_[t];
             const std::int32_t depth = depth_[t];
@@ -96,7 +96,7 @@ void FlatEnsemble::accumulate(const Matrix& x, std::size_t row_begin,
                                     static_cast<std::int32_t>(
                                         !(rw[k][safe(feat[n[k]])] <= thr[n[k]]))];
                 for (std::size_t k = 0; k < kLanes; ++k)
-                    acc[r + k - row_begin] += scale * val[n[k]];
+                    acc[r + k] += scale * val[n[k]];
             }
             for (; r < b1; ++r) {
                 const double* const row = x.row(r).data();
@@ -104,7 +104,7 @@ void FlatEnsemble::accumulate(const Matrix& x, std::size_t row_begin,
                 for (std::int32_t s = 0; s < depth; ++s)
                     m = kids[2 * m + static_cast<std::int32_t>(
                                          !(row[safe(feat[m])] <= thr[m]))];
-                acc[r - row_begin] += scale * val[m];
+                acc[r] += scale * val[m];
             }
         }
     }

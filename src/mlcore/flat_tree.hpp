@@ -38,14 +38,13 @@ public:
     [[nodiscard]] std::size_t num_trees() const noexcept { return roots_.size(); }
     [[nodiscard]] std::size_t num_nodes() const noexcept { return feature_.size(); }
 
-    /// For every row r in [row_begin, row_end):
-    ///     acc[r - row_begin] += scale * leaf_value(tree, x.row(r))
+    /// For every row r of x (acc.size() == x.rows()):
+    ///     acc[r] += scale * leaf_value(tree, x.row(r))
     /// summed over trees in insertion order — per row this is exactly the
     /// tree-order sum the scalar predict() loops compute, so results are
     /// bitwise identical to them.  Iteration is tree-major over row blocks of
     /// kRowBlock for cache locality.
-    void accumulate(const Matrix& x, std::size_t row_begin, std::size_t row_end,
-                    double scale, std::span<double> acc) const;
+    void accumulate(const Matrix& x, double scale, std::span<double> acc) const;
 
     /// Rows per inner block of accumulate().  Each tree's node arrays are
     /// streamed through cache once per block, so larger blocks amortize that

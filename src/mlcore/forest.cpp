@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
-
 namespace xnfv::ml {
 
 void RandomForest::fit(const Dataset& d, Rng& rng) {
@@ -61,15 +59,11 @@ void RandomForest::predict_batch(const Matrix& x, std::span<double> out) const {
     if (x.cols() != num_features_)
         throw std::invalid_argument("DecisionTree::predict: size mismatch");
     const double n_trees = static_cast<double>(trees_.size());
-    const std::size_t threads = x.rows() < 64 ? 1 : 0;
-    xnfv::parallel_for_chunks(x.rows(), threads, [&](std::size_t begin, std::size_t end) {
-        auto slice = out.subspan(begin, end - begin);
-        std::fill(slice.begin(), slice.end(), 0.0);
-        flat_.accumulate(x, begin, end, 1.0, slice);
-        // Same final division the scalar loop performs (sum / T, not
-        // sum * (1/T)) so the rounding is identical.
-        for (double& v : slice) v /= n_trees;
-    });
+    std::fill(out.begin(), out.end(), 0.0);
+    flat_.accumulate(x, 1.0, out);
+    // Same final division the scalar loop performs (sum / T, not
+    // sum * (1/T)) so the rounding is identical.
+    for (double& v : out) v /= n_trees;
 }
 
 std::vector<double> RandomForest::feature_importances() const {

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
 #include "mlcore/linear.hpp"  // sigmoid
 
 namespace xnfv::ml {
@@ -119,16 +118,12 @@ void GradientBoostedTrees::predict_batch(const Matrix& x, std::span<double> out)
     if (trees_.empty()) throw std::logic_error("GBT::predict before fit");
     if (x.cols() != num_features_)
         throw std::invalid_argument("DecisionTree::predict: size mismatch");
-    const std::size_t threads = x.rows() < 64 ? 1 : 0;
-    xnfv::parallel_for_chunks(x.rows(), threads, [&](std::size_t begin, std::size_t end) {
-        auto slice = out.subspan(begin, end - begin);
-        std::fill(slice.begin(), slice.end(), base_score_);
-        // acc += learning_rate * leaf, tree by tree — the same expression
-        // and order as the scalar predict_margin() loop.
-        flat_.accumulate(x, begin, end, config_.learning_rate, slice);
-        if (task_ == Task::binary_classification)
-            for (double& v : slice) v = sigmoid(v);
-    });
+    std::fill(out.begin(), out.end(), base_score_);
+    // acc += learning_rate * leaf, tree by tree — the same expression
+    // and order as the scalar predict_margin() loop.
+    flat_.accumulate(x, config_.learning_rate, out);
+    if (task_ == Task::binary_classification)
+        for (double& v : out) v = sigmoid(v);
 }
 
 std::vector<double> GradientBoostedTrees::feature_importances() const {

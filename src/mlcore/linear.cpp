@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
 #include "mlcore/matrix.hpp"
 
 namespace xnfv::ml {
@@ -55,11 +54,7 @@ void LinearRegression::predict_batch(const Matrix& x, std::span<double> out) con
         throw std::invalid_argument("LinearRegression::predict_batch: output size mismatch");
     if (x.cols() != coef_.size())
         throw std::invalid_argument("LinearRegression::predict: size mismatch");
-    const std::size_t threads = x.rows() < 64 ? 1 : 0;
-    xnfv::parallel_for_chunks(x.rows(), threads, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r)
-            out[r] = intercept_ + dot(coef_, x.row(r));
-    });
+    for (std::size_t r = 0; r < x.rows(); ++r) out[r] = intercept_ + dot(coef_, x.row(r));
 }
 
 void LogisticRegression::fit(const Dataset& d) {
@@ -109,11 +104,8 @@ void LogisticRegression::predict_batch(const Matrix& x, std::span<double> out) c
         throw std::invalid_argument("LogisticRegression::predict_batch: output size mismatch");
     if (x.cols() != coef_.size())
         throw std::invalid_argument("LogisticRegression::predict: size mismatch");
-    const std::size_t threads = x.rows() < 64 ? 1 : 0;
-    xnfv::parallel_for_chunks(x.rows(), threads, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r)
-            out[r] = sigmoid(intercept_ + dot(coef_, x.row(r)));
-    });
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        out[r] = sigmoid(intercept_ + dot(coef_, x.row(r)));
 }
 
 }  // namespace xnfv::ml

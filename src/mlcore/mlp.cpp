@@ -4,7 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
 #include "mlcore/linear.hpp"  // sigmoid
 
 namespace xnfv::ml {
@@ -251,14 +250,11 @@ void Mlp::predict_batch(const Matrix& x, std::span<double> out) const {
     if (layers_.empty()) throw std::logic_error("Mlp::predict before fit");
     if (x.cols() != num_inputs_)
         throw std::invalid_argument("Mlp::predict: size mismatch");
-    const std::size_t threads = x.rows() < 64 ? 1 : 0;
-    xnfv::parallel_for_chunks(x.rows(), threads, [&](std::size_t begin, std::size_t end) {
-        std::vector<double> cur, nxt;
-        for (std::size_t r = begin; r < end; ++r) {
-            const double o = forward_reuse(x.row(r), cur, nxt);
-            out[r] = task_ == Task::binary_classification ? sigmoid(o) : o;
-        }
-    });
+    std::vector<double> cur, nxt;
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        const double o = forward_reuse(x.row(r), cur, nxt);
+        out[r] = task_ == Task::binary_classification ? sigmoid(o) : o;
+    }
 }
 
 }  // namespace xnfv::ml

@@ -2,20 +2,13 @@
 
 #include <stdexcept>
 
-#include "core/parallel.hpp"
-
 namespace xnfv::ml {
 
 void Model::predict_batch(const Matrix& x, std::span<double> out) const {
-    // Rows are independent and predict() is const/thread-safe for every
-    // model family, so the default batch path is row-parallel; each task
-    // writes only its own output slot, keeping results identical for any
-    // thread count.  Tiny batches stay inline to avoid pool overhead.
     if (x.rows() == 0) return;
     if (out.size() != x.rows())
         throw std::invalid_argument("Model::predict_batch: output size mismatch");
-    const std::size_t threads = x.rows() < 64 ? 1 : 0;  // 0 = default_threads()
-    xnfv::parallel_for(x.rows(), threads, [&](std::size_t r) { out[r] = predict(x.row(r)); });
+    for (std::size_t r = 0; r < x.rows(); ++r) out[r] = predict(x.row(r));
 }
 
 std::vector<double> Model::predict_batch(const Matrix& x) const {

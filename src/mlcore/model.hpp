@@ -32,11 +32,13 @@ public:
     [[nodiscard]] virtual double predict(std::span<const double> x) const = 0;
 
     /// Batch prediction into a caller-provided buffer; out.size() must equal
-    /// x.rows().  The default loops over predict() row-parallel; model
-    /// families with cache-friendly batch kernels override it.  Overrides
-    /// must produce bitwise-identical values to the per-row predict() loop —
-    /// every explainer relies on this to keep attributions independent of
-    /// how probe rows are blocked (enforced by test_predict_batch).
+    /// x.rows().  The default loops over predict() on the calling thread;
+    /// model families with cache-friendly batch kernels override it.  No
+    /// implementation fans out: parallelism belongs to the caller's loop
+    /// (the explainer's or the service batch's).  Overrides must produce
+    /// bitwise-identical values to the per-row predict() loop — every
+    /// explainer relies on this to keep attributions independent of how
+    /// probe rows are blocked (enforced by test_predict_batch).
     virtual void predict_batch(const Matrix& x, std::span<double> out) const;
 
     /// Convenience wrapper allocating a fresh result vector.

@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
-
 namespace xnfv::ml {
 
 namespace {
@@ -174,12 +172,8 @@ void DecisionTree::predict_batch(const Matrix& x, std::span<double> out) const {
         Model::predict_batch(x, out);
         return;
     }
-    const std::size_t threads = x.rows() < 64 ? 1 : 0;
-    xnfv::parallel_for_chunks(x.rows(), threads, [&](std::size_t begin, std::size_t end) {
-        auto slice = out.subspan(begin, end - begin);
-        std::fill(slice.begin(), slice.end(), 0.0);
-        flat_.accumulate(x, begin, end, 1.0, slice);
-    });
+    std::fill(out.begin(), out.end(), 0.0);
+    flat_.accumulate(x, 1.0, out);
 }
 
 std::size_t DecisionTree::leaf_index(std::span<const double> x) const {

@@ -16,11 +16,4 @@ double FaultInjectingModel::predict(std::span<const double> x) const {
     return inner_->predict(x);
 }
 
-void FaultInjectingModel::predict_batch(const xnfv::ml::Matrix& x,
-                                        std::span<double> out) const {
-    if (out.size() != x.rows())
-        throw std::invalid_argument("FaultInjectingModel::predict_batch: output size mismatch");
-    for (std::size_t r = 0; r < x.rows(); ++r) out[r] = predict(x.row(r));
-}
-
 }  // namespace xnfv::serve

@@ -129,13 +129,11 @@ public:
                         std::shared_ptr<FaultInjector> injector)
         : inner_(std::move(inner)), injector_(std::move(injector)) {}
 
+    /// Batched probes go through the base class's serial per-row loop, so
+    /// each model evaluation is one fault poll, in row order: the blocked
+    /// explainer path presents the same (seed, point, k) schedule as the
+    /// scalar path.
     [[nodiscard]] double predict(std::span<const double> x) const override;
-    /// Batched probes stay one fault poll per model evaluation: the blocked
-    /// explainer path must present the same (seed, point, k) schedule as the
-    /// scalar path, so each row is polled and evaluated individually.  The
-    /// throughput cost only exists under an active injector (chaos tests).
-    void predict_batch(const xnfv::ml::Matrix& x, std::span<double> out) const override;
-    using xnfv::ml::Model::predict_batch;
     [[nodiscard]] std::size_t num_features() const override {
         return inner_->num_features();
     }

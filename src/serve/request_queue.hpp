@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -88,11 +87,10 @@ struct ExplainResponse {
 /// admission timestamp (for end-to-end service-time accounting).
 struct Job {
     ExplainRequest request;
-    std::promise<ExplainResponse> promise;
-    /// Optional push-style completion channel (the TCP front-end): when set,
-    /// the dispatcher invokes it with the response *instead of* fulfilling
-    /// `promise`.  Called exactly once, on the thread executing the batch,
-    /// in admission order; it must be fast and must not throw.
+    /// Completion channel: the TCP front-end's push callback, or the one
+    /// submit() wraps around a promise.  Called exactly once, on the thread
+    /// executing the batch, in admission order; it must be fast and must
+    /// not throw.
     std::function<void(ExplainResponse)> on_complete;
     std::chrono::steady_clock::time_point enqueued_at;
     /// Absolute expiry derived from request.deadline_ms at admission;

@@ -249,7 +249,7 @@ void ExplanationService::stop() {
             if (dispatcher_.joinable()) dispatcher_.join();
         }
         // If the dispatcher died to a fault with work still queued, serve
-        // the stragglers on this thread — stop() never drops a promise.
+        // the stragglers on this thread — stop() never drops a completion.
         drain_inline();
         if (!config_.snapshot_path.empty()) save_snapshot();
     });
@@ -297,35 +297,19 @@ ServeError ExplanationService::prepare_job(ExplainRequest request, Job& job) {
 }
 
 ExplanationService::Submission ExplanationService::submit(ExplainRequest request) {
+    // std::function needs a copyable callable, so the promise is shared.
+    auto promise = std::make_shared<std::promise<ExplainResponse>>();
     Submission out;
-    Job job;
-    ServeError reject = prepare_job(std::move(request), job);
-    const std::shared_ptr<ModelEntry> entry = job.model_entry;
-    if (reject == ServeError::none) {
-        out.response = job.promise.get_future();
-        reject = queue_.try_push(std::move(job));
-    }
-    if (reject != ServeError::none) {
-        out.rejected = reject;
-        out.response = {};
-        metrics_.inc(&ServiceStats::requests_rejected);
-        metrics_.count_error(reject);
-        if (entry && reject == ServeError::quota_exceeded) entry->rejected_quota.inc();
-        // prepare_job admitted (possibly as a half-open probe) but the
-        // queue refused: release the probe so the next request can retry it.
-        if (entry) entry->breaker_abandon(config_.breaker);
-        return out;
-    }
-    entry->admitted.inc();
-    metrics_.inc(&ServiceStats::requests_accepted);
-    metrics_.queue_depth.set(queue_.size());
+    out.response = promise->get_future();
+    out.rejected = submit_async(std::move(request), [promise](ExplainResponse response) {
+        promise->set_value(std::move(response));
+    });
+    if (out.rejected != ServeError::none) out.response = {};
     return out;
 }
 
 ServeError ExplanationService::submit_async(
     ExplainRequest request, std::function<void(ExplainResponse)> on_complete) {
-    // Same validation as submit(); the callback rides in the Job so the
-    // batch executor completes it in place of the promise.
     Job job;
     ServeError reject = prepare_job(std::move(request), job);
     const std::shared_ptr<ModelEntry> entry = job.model_entry;
@@ -337,6 +321,8 @@ ServeError ExplanationService::submit_async(
         metrics_.inc(&ServiceStats::requests_rejected);
         metrics_.count_error(reject);
         if (entry && reject == ServeError::quota_exceeded) entry->rejected_quota.inc();
+        // prepare_job admitted (possibly as a half-open probe) but the
+        // queue refused: release the probe so the next request can retry it.
         if (entry) entry->breaker_abandon(config_.breaker);
         return reject;
     }
@@ -502,12 +488,13 @@ ExplanationService::interaction_table(const ModelSnapshot& snapshot) const {
         return it->second;
     const std::size_t d = background_.num_features();
     auto table = std::make_shared<std::vector<xai::InteractionPair>>();
-    if (d >= 2) table->reserve(d * (d - 1) / 2);
-    const xai::InteractionOptions options{config_.interaction_points};
-    for (std::size_t j = 0; j + 1 < d; ++j)
-        for (std::size_t k = j + 1; k < d; ++k)
-            table->push_back(
-                {j, k, xai::friedman_h2(*snapshot.model, background_, j, k, options)});
+    if (d >= 2) {
+        const auto h2 = xai::interaction_matrix(*snapshot.model, background_,
+                                                {config_.interaction_points});
+        table->reserve(d * (d - 1) / 2);
+        for (std::size_t j = 0; j + 1 < d; ++j)
+            for (std::size_t k = j + 1; k < d; ++k) table->push_back({j, k, h2[j][k]});
+    }
     // Strongest interaction first; (i, j) ascending on ties so the order —
     // and therefore the served top-k slice — is fully deterministic.
     std::sort(table->begin(), table->end(),
@@ -738,14 +725,10 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
         } else {
             metrics_.count_error(responses[i].error_code);
         }
-        if (batch[i].on_complete) {
-            try {
-                batch[i].on_complete(std::move(responses[i]));
-            } catch (...) {
-                // A completion channel must never take the dispatcher down.
-            }
-        } else {
-            batch[i].promise.set_value(std::move(responses[i]));
+        try {
+            batch[i].on_complete(std::move(responses[i]));
+        } catch (...) {
+            // A completion channel must never take the dispatcher down.
         }
     }
 }

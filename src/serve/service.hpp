@@ -224,9 +224,10 @@ public:
         std::future<ExplainResponse> response;
     };
 
-    /// Validates and enqueues; never blocks.  Rejects with `queue_full`
-    /// under backpressure, `bad_request` on wrong feature count or unknown
-    /// method, `bad_features` on NaN/Inf inputs, `deadline_exceeded` on an
+    /// submit_async() with a callback that fulfils the returned future;
+    /// never blocks.  Rejects with `queue_full` under backpressure,
+    /// `bad_request` on wrong feature count or unknown method,
+    /// `bad_features` on NaN/Inf inputs, `deadline_exceeded` on an
     /// already-expired (0 ms) deadline, `service_stopped` after stop().
     [[nodiscard]] Submission submit(ExplainRequest request);
 
@@ -305,9 +306,9 @@ private:
     /// Drains whatever is left in the queue/batcher on the calling thread —
     /// the shutdown path after both worker threads have been joined.
     void drain_inline();
-    /// Shared validation/resolution for submit()/submit_async(): resolves
-    /// the model name, validates the payload, and stamps `job` (entry,
-    /// pinned snapshot, class, timestamps).  Non-none = reject.
+    /// Validation/resolution for submit_async(): resolves the model name,
+    /// validates the payload, and stamps `job` (entry, pinned snapshot,
+    /// class, timestamps).  Non-none = reject.
     [[nodiscard]] ServeError prepare_job(ExplainRequest request, Job& job);
     /// What one computed explanation cost and which path served it, for the
     /// per-explainer stats slices.

@@ -98,29 +98,41 @@ kill -TERM "$SRV"
 wait "$SRV"
 grep -q '^drained$' "$DIR/tcp.out"
 
-# Sharded serving: same probe against a 2-shard server must produce the
-# same bytes as the single-loop answer, and the graceful drain still works.
-"$CLI" serve --model "$DIR/model.xnfv" --data "$DIR/data.csv" \
-    --listen 0 --shards 2 > "$DIR/tcp2.out" 2>&1 &
-SRV2=$!
-PORT2=""
-i=0
-while [ $i -lt 100 ]; do
-  PORT2=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp2.out" 2>/dev/null || true)
-  [ -n "$PORT2" ] && break
-  i=$((i + 1))
-  sleep 0.1
+# Sharded serving: the same probe against 2- and 4-shard servers must
+# produce the same bytes as the single-loop answer, and the graceful drain
+# still works.
+for SHARDS in 2 4; do
+  "$CLI" serve --model "$DIR/model.xnfv" --data "$DIR/data.csv" \
+      --listen 0 --shards "$SHARDS" > "$DIR/tcp$SHARDS.out" 2>&1 &
+  SRV2=$!
+  PORT2=""
+  i=0
+  while [ $i -lt 100 ]; do
+    PORT2=$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$DIR/tcp$SHARDS.out" 2>/dev/null || true)
+    [ -n "$PORT2" ] && break
+    i=$((i + 1))
+    sleep 0.1
+  done
+  test -n "$PORT2"
+  grep -q "^shards $SHARDS\$" "$DIR/tcp$SHARDS.out"
+  "$CLI" netprobe --port "$PORT2" --row 1 --count 2 --stats > "$DIR/probe$SHARDS.out"
+  test "$(wc -l < "$DIR/probe$SHARDS.out")" -eq 3
+  grep -q "\"net_shards\":$SHARDS" "$DIR/probe$SHARDS.out"
+  head -n 1 "$DIR/probe$SHARDS.out" | sed 's/"cache_hit":[a-z]*/"cache_hit":_/' \
+      > "$DIR/probe$SHARDS.norm"
+  cmp -s "$DIR/probe$SHARDS.norm" "$DIR/stdin.norm"
+  kill -TERM "$SRV2"
+  wait "$SRV2"
+  grep -q '^drained$' "$DIR/tcp$SHARDS.out"
 done
-test -n "$PORT2"
-grep -q '^shards 2$' "$DIR/tcp2.out"
-"$CLI" netprobe --port "$PORT2" --row 1 --count 2 --stats > "$DIR/probe2.out"
-test "$(wc -l < "$DIR/probe2.out")" -eq 3
-grep -q '"net_shards":2' "$DIR/probe2.out"
-head -n 1 "$DIR/probe2.out" | sed 's/"cache_hit":[a-z]*/"cache_hit":_/' > "$DIR/probe2.norm"
-cmp -s "$DIR/probe2.norm" "$DIR/stdin.norm"
-kill -TERM "$SRV2"
-wait "$SRV2"
-grep -q '^drained$' "$DIR/tcp2.out"
+
+# Every line served so far, over stdin and TCP, is one JSON document.
+python3 -c '
+import json, sys
+for path in sys.argv[1:]:
+    for line in open(path):
+        json.loads(line)
+' "$DIR"/serve[1-5].out "$DIR"/probe.out "$DIR"/probe[24].out
 
 # Chaos + self-healing: with every socket fault armed (RST kills capped at
 # 2, one shard death), a retrying load run must answer every request
@@ -149,10 +161,13 @@ test -n "$PORT3"
     --backoff-ms 5 > "$DIR/loadgen.out"
 grep -q '"answered":32' "$DIR/loadgen.out"
 grep -q '"errors":0' "$DIR/loadgen.out"
+# The supervisor may count the respawn after the load run has finished, so
+# keep probing until the stats line reports it.
 STATS=""
 i=0
 while [ $i -lt 50 ]; do
-  if STATS=$("$CLI" netprobe --port "$PORT3" --stats --timeout-ms 3000 2>/dev/null); then
+  if STATS=$("$CLI" netprobe --port "$PORT3" --stats --timeout-ms 3000 2>/dev/null) &&
+      echo "$STATS" | grep -q '"net_shard_respawns":1'; then
     break
   fi
   STATS=""
@@ -160,7 +175,8 @@ while [ $i -lt 50 ]; do
   sleep 0.2
 done
 test -n "$STATS"
-echo "$STATS" | grep -q '"net_shard_respawns":1'
+printf '%s\n' "$STATS" | tail -n 1 |
+    python3 -c 'import json, sys; assert json.load(sys.stdin)["net_faults_injected"] > 0'
 kill -TERM "$SRV3"
 wait "$SRV3"
 grep -q '^drained$' "$DIR/tcp3.out"

@@ -66,16 +66,16 @@ ml::Matrix random_matrix(std::size_t rows, std::size_t cols, ml::Rng& rng) {
 }  // namespace
 
 TEST(ProbeAlloc, WarmPredictBatchAllocatesNothing) {
-    // threads=1 keeps parallel_for_chunks inline, so the only possible
-    // allocations are the kernels' own — and the flattened kernels write
-    // straight into the caller's buffer.
+    // A multi-thread default on any host: a predict_batch that fanned out
+    // onto the pool would allocate its tasks, while the serial flattened
+    // kernels write straight into the caller's buffer.
+    xnfv::set_default_threads(4);
     const auto data = xnfv::golden::make_dataset();
     const auto forest = xnfv::golden::make_forest(data);
     const auto gbt = xnfv::golden::make_gbt(data);
     ml::Rng rng(123);
     const auto x = random_matrix(300, data.num_features(), rng);
     std::vector<double> out(x.rows());
-    xnfv::set_default_threads(1);
     forest.predict_batch(x, out);  // warm-up
     gbt.predict_batch(x, out);
     EXPECT_EQ(count_allocs([&] { forest.predict_batch(x, out); }), 0u);
@@ -86,7 +86,9 @@ TEST(ProbeAlloc, WarmPredictBatchAllocatesNothing) {
 TEST(ProbeAlloc, OcclusionAllocationCountIndependentOfBackgroundSize) {
     // The legacy loop allocated one probe vector per (feature, background
     // row) evaluation; the blocked path allocates a constant number of
-    // scratch buffers per explain() regardless of background size.
+    // scratch buffers per explain() regardless of background size.  Four
+    // default threads make the pin independent of the host's core count.
+    xnfv::set_default_threads(4);
     const auto data = xnfv::golden::make_dataset();
     const auto forest = xnfv::golden::make_forest(data);
     const auto x = data.x.row(3);
@@ -99,12 +101,14 @@ TEST(ProbeAlloc, OcclusionAllocationCountIndependentOfBackgroundSize) {
     const auto small = allocs_with_bg(16);
     const auto large = allocs_with_bg(64);
     EXPECT_EQ(small, large) << "allocation count must not scale with background rows";
+    xnfv::set_default_threads(0);  // restore hardware default
 }
 
 TEST(ProbeAlloc, KernelShapAllocationCountIndependentOfBackgroundSize) {
     // Same invariant for the coalition path: scratch blocks are reused, so
     // only the per-call containers (masks, weights, WLS design) allocate —
     // all sized by the coalition budget, not by background rows.
+    xnfv::set_default_threads(4);
     const auto data = xnfv::golden::make_dataset();
     const auto forest = xnfv::golden::make_forest(data);
     const auto x = data.x.row(3);
@@ -117,4 +121,5 @@ TEST(ProbeAlloc, KernelShapAllocationCountIndependentOfBackgroundSize) {
     const auto small = allocs_with_bg(16);
     const auto large = allocs_with_bg(64);
     EXPECT_EQ(small, large) << "allocation count must not scale with background rows";
+    xnfv::set_default_threads(0);  // restore hardware default
 }

@@ -209,7 +209,7 @@ int usage() {
         "  help\n\n"
         "common flags:\n"
         "  --seed S     deterministic RNG seed (per command defaults)\n"
-        "  --threads N  worker threads for explanation/prediction hot paths\n"
+        "  --threads N  worker threads for explanation loops\n"
         "               (default: hardware concurrency; results are identical\n"
         "               for any N)\n",
         methods.c_str(), methods.c_str());
