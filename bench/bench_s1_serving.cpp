@@ -1,5 +1,5 @@
 // S1 — online serving: throughput and tail latency of ExplanationService
-// versus micro-batch size and cache hit ratio, plus the cold-vs-cache-hit
+// versus batch cap (max_batch) and cache hit ratio, plus the cold-vs-cache-hit
 // speedup that justifies the LRU cache for repetitive NFV telemetry.
 //
 // Output (fixed format, seeded, reproducible):
@@ -77,7 +77,6 @@ int main() {
             cfg.method = "tree_shap";
             cfg.queue_depth = requests;
             cfg.max_batch = batch;
-            cfg.max_wait = std::chrono::microseconds(100);
             cfg.cache_capacity = 8192;
             serve::ExplanationService service(forest, background, cfg);
 
@@ -110,7 +109,6 @@ int main() {
     serve::ServiceConfig cfg;
     cfg.method = "kernel_shap";
     cfg.max_batch = 1;
-    cfg.max_wait = std::chrono::microseconds(0);
     serve::ExplanationService service(forest, background, cfg);
 
     const std::size_t probes = 24;

@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
             cfg.queue_depth = std::max<std::size_t>(
                 1024, conns * std::min(window, per_conn) + 256);
             cfg.max_batch = 16;
-            cfg.max_wait = std::chrono::microseconds(100);
             cfg.cache_capacity = 8192;
 
             net::ShardedServerConfig shcfg;

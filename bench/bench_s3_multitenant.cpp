@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
         cfg.method = "tree_shap";
         cfg.queue_depth = 256;
         cfg.max_batch = 8;
-        cfg.max_wait = std::chrono::microseconds(100);
         cfg.cache_capacity = 8192;
         // The hot tenant may hold at most 2 batches' worth of queue slots;
         // everything beyond rejects with quota_exceeded at admission.

@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
     cfg.seed = 11;
     cfg.queue_depth = 512;
     cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(100);
     cfg.cache_capacity = 8192;
     cfg.degradation.reduced_queue_depth = 64;
     cfg.degradation.baseline_queue_depth = 128;

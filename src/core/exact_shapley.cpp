@@ -10,9 +10,9 @@ namespace xnfv::xai {
 
 double log_binomial(std::size_t n, std::size_t k) {
     if (k > n) return -std::numeric_limits<double>::infinity();
-    return std::lgamma(static_cast<double>(n) + 1.0) -
-           std::lgamma(static_cast<double>(k) + 1.0) -
-           std::lgamma(static_cast<double>(n - k) + 1.0);
+    return log_gamma(static_cast<double>(n) + 1.0) -
+           log_gamma(static_cast<double>(k) + 1.0) -
+           log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double shapley_kernel_weight(std::size_t d, std::size_t s) {
@@ -55,9 +55,9 @@ Explanation ExactShapley::explain(const xnfv::ml::Model& model, std::span<const 
     // Precompute the factorial weights per coalition size.
     std::vector<double> weight(d);
     for (std::size_t s = 0; s < d; ++s) {
-        weight[s] = std::exp(std::lgamma(static_cast<double>(s) + 1.0) +
-                             std::lgamma(static_cast<double>(d - s)) -
-                             std::lgamma(static_cast<double>(d) + 1.0));
+        weight[s] = std::exp(log_gamma(static_cast<double>(s) + 1.0) +
+                             log_gamma(static_cast<double>(d - s)) -
+                             log_gamma(static_cast<double>(d) + 1.0));
     }
 
     Explanation e;

@@ -8,6 +8,8 @@
 //     v(S) = E_b~background [ f(x_S, b_{!S}) ]
 #pragma once
 
+#include <cmath>
+
 #include "core/explanation.hpp"
 #include "mlcore/model.hpp"
 
@@ -45,5 +47,13 @@ private:
 
 /// ln C(n, k) via lgamma (stable for large n).
 [[nodiscard]] double log_binomial(std::size_t n, std::size_t k);
+
+/// ln|Gamma(x)| through glibc's lgamma_r.  std::lgamma also writes the global
+/// `signgam`, a data race when explainers run on several threads at once;
+/// the value is the same.
+[[nodiscard]] inline double log_gamma(double x) noexcept {
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
 
 }  // namespace xnfv::xai

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/exact_shapley.hpp"
 #include "core/parallel.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/gbt.hpp"
@@ -23,9 +24,9 @@ namespace {
 /// recursive walker, so the table entries are bitwise identical to its
 /// on-the-fly values.
 double shapley_weight(std::size_t k, std::size_t m) {
-    return std::exp(std::lgamma(static_cast<double>(k) + 1.0) +
-                    std::lgamma(static_cast<double>(m - k)) -
-                    std::lgamma(static_cast<double>(m) + 1.0));
+    return std::exp(log_gamma(static_cast<double>(k) + 1.0) +
+                    log_gamma(static_cast<double>(m - k)) -
+                    log_gamma(static_cast<double>(m) + 1.0));
 }
 
 /// EXTEND: apply one path edge to the collapsed per-distinct-feature state,

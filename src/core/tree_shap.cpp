@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/exact_shapley.hpp"
+
 namespace xnfv::xai {
 
 using xnfv::ml::DecisionTree;
@@ -22,9 +24,9 @@ struct PathEdge {
 
 /// Shapley factorial weight k!(m-k-1)!/m!.
 double shapley_weight(std::size_t k, std::size_t m) {
-    return std::exp(std::lgamma(static_cast<double>(k) + 1.0) +
-                    std::lgamma(static_cast<double>(m - k)) -
-                    std::lgamma(static_cast<double>(m) + 1.0));
+    return std::exp(log_gamma(static_cast<double>(k) + 1.0) +
+                    log_gamma(static_cast<double>(m - k)) -
+                    log_gamma(static_cast<double>(m) + 1.0));
 }
 
 struct LeafAccumulator {

@@ -1,7 +1,7 @@
 // TCP front-end for the explanation service.
 //
 // ExplanationServer bridges accepted ND-JSON frames into the existing
-// queue -> micro-batcher -> cache pipeline (serve/service.hpp) and writes
+// queue -> dispatcher -> cache pipeline (serve/service.hpp) and writes
 // responses back on write-ready events.  The wire format is exactly the
 // stdin loop's: serve::render_response / serve::render_stats produce the
 // bytes on both transports, and every request is still explained by a fresh

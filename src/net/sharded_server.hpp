@@ -7,7 +7,7 @@
 //     the same port; the kernel hashes incoming connections across them, so
 //     there is no shared accept lock and no connection handoff.
 //   * Share-nothing serving — each shard owns a full ExplanationService
-//     (admission queue, micro-batcher, dispatcher thread, LRU cache slice
+//     (admission queue, batching dispatcher thread, LRU cache slice
 //     with its own drift epoch) and a full ExplanationServer (epoll loop,
 //     connections, SPSC completion ring).  A connection lives and dies on
 //     the shard that accepted it, which is what keeps per-connection

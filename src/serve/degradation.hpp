@@ -12,13 +12,13 @@
 //   reduced   — the requested method with its budget scaled down
 //   baseline  — single-feature occlusion (the cheapest local attribution)
 //
-// Like the micro-batcher, the policy is a pure object: it maps observed
-// load (the queue depth a request saw at admission, the current service-time
-// p99) to a level, and never reads a clock or a queue itself — so every
-// threshold is unit-testable without sleeps.  Degraded results are
-// deterministic (same seed + same level => same bytes) and are stamped with
-// `degraded` plus the budget actually used; they bypass the cache so a
-// transient overload can never pin coarse answers into it.
+// The policy is a pure object: it maps observed load (the queue depth a
+// request saw at admission, the current service-time p99) to a level, and
+// never reads a clock or a queue itself — so every threshold is
+// unit-testable without sleeps.  Degraded results are deterministic (same
+// seed + same level => same bytes) and are stamped with `degraded` plus the
+// budget actually used; they bypass the cache so a transient overload can
+// never pin coarse answers into it.
 #pragma once
 
 #include <cstddef>

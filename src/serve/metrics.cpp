@@ -290,8 +290,6 @@ constexpr Row kRows[] = {
      .u64 = &S::drift_checks},
     {.key = "drift_flushes", .kind = counter, .merge = sum, .line = "drift",
      .label = "flushes", .u64 = &S::drift_flushes},
-    {.key = "adaptive_wait_us", .kind = level, .merge = largest, .line = "adaptive",
-     .label = "wait-us", .u64 = &S::adaptive_wait_us, .gauge = &R::adaptive_wait_us},
     {.key = "service_us_p50", .kind = histogram, .merge = buckets, .line = "latency-us",
      .label = "p50", .f64 = &S::service_us_p50, .hist = &S::service_time_us, .stat = p50,
      .recorder = &R::service_time_us},

@@ -178,7 +178,7 @@ struct ServiceStats {
     std::uint64_t requests_rejected = 0;   ///< submissions refused at the door
     std::uint64_t requests_completed = 0;  ///< responses delivered (hit or computed)
     std::uint64_t requests_degraded = 0;   ///< responses served below full fidelity
-    std::uint64_t batches = 0;             ///< micro-batch flushes executed
+    std::uint64_t batches = 0;             ///< batches executed
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_evictions = 0;
@@ -215,9 +215,6 @@ struct ServiceStats {
     std::uint64_t drift_checks = 0;
     std::uint64_t drift_flushes = 0;
     std::uint64_t cache_epoch = 0;
-    /// Effective micro-batch max_wait chosen by the adaptive policy (equals
-    /// the configured wait when the policy is disabled or unpressured).
-    std::uint64_t adaptive_wait_us = 0;
 
     /// TCP front-end section (src/net/); all-zero with `net_enabled` false
     /// when the service runs in-process only.
@@ -316,8 +313,7 @@ struct ServiceMetrics {
     mutable ServiceStats counts;
     std::array<ExplainerMetrics, kNumExplainers> explainers;
     Gauge queue_depth;
-    Gauge adaptive_wait_us;      ///< effective micro-batch wait (adaptive policy)
-    Histogram batch_size;        ///< requests per flushed batch
+    Histogram batch_size;        ///< requests per executed batch
     Histogram service_time_us;   ///< enqueue -> response, per request
     Histogram compute_time_us;   ///< model/explainer time, per cache miss
     Histogram probe_rows;        ///< model rows evaluated, per ok computed explanation

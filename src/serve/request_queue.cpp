@@ -63,17 +63,15 @@ Job RequestQueue::pop_locked() {
     return job;
 }
 
-std::optional<Job> RequestQueue::pop_wait(std::chrono::steady_clock::time_point deadline) {
+std::vector<Job> RequestQueue::pop_batch(std::chrono::steady_clock::time_point deadline,
+                                         std::size_t max) {
+    std::vector<Job> batch;
     std::unique_lock lock(mutex_);
     not_empty_.wait_until(lock, deadline, [this] { return total_ > 0 || closed_; });
-    if (total_ == 0) return std::nullopt;
-    return pop_locked();
-}
-
-std::optional<Job> RequestQueue::try_pop() {
-    std::lock_guard lock(mutex_);
-    if (total_ == 0) return std::nullopt;
-    return pop_locked();
+    const std::size_t n = std::min(total_, std::max<std::size_t>(1, max));
+    batch.reserve(n);
+    while (batch.size() < n) batch.push_back(pop_locked());
+    return batch;
 }
 
 void RequestQueue::close() {

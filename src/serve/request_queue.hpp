@@ -3,7 +3,10 @@
 //
 // The admission edge of the explanation service: producers (CLI front-end,
 // tests, embedding applications) try_push() jobs; the dispatcher thread
-// pop_wait()s them into the micro-batcher.  The queue is bounded because an
+// pop_batch()es them: it blocks only until the first job arrives, then takes
+// every job already queued behind it, up to the batch cap, under one lock.
+// Batches therefore form exactly when there is a backlog, and no job waits
+// for others to arrive.  The queue is bounded because an
 // overload policy of "grow forever" just converts overload into latency and
 // eventually OOM — a full queue instead rejects immediately with a reason the
 // caller can surface (HTTP 429 semantics, in-process).
@@ -24,7 +27,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,8 +130,7 @@ struct ClassConfig {
 /// quotas and deficit-weighted-round-robin pop order.
 ///
 /// try_push never blocks: a full or closed queue rejects with a reason.
-/// pop_wait blocks up to a deadline so the dispatcher can honor the
-/// micro-batcher's flush timer while parked on an empty queue.
+/// pop_batch blocks only while the queue is empty, up to a deadline.
 class RequestQueue {
 public:
     /// `depth` is the global backpressure limit (clamped to at least 1).
@@ -148,14 +149,12 @@ public:
     /// job's depth_at_enqueue is stamped with the resulting total depth.
     [[nodiscard]] ServeError try_push(Job job);
 
-    /// Pops the next job in DWRR order, waiting until one arrives,
-    /// `deadline` passes, or the queue is closed and drained.  nullopt =
-    /// timed out or drained.
-    [[nodiscard]] std::optional<Job> pop_wait(
-        std::chrono::steady_clock::time_point deadline);
-
-    /// Non-blocking pop (used to drain without waiting).
-    [[nodiscard]] std::optional<Job> try_pop();
+    /// Waits until a job is queued, `deadline` passes, or the queue is
+    /// closed and drained; then pops every queued job, up to `max` (at
+    /// least 1), in DWRR order.  Empty = timed out or drained.  A deadline
+    /// in the past never blocks.
+    [[nodiscard]] std::vector<Job> pop_batch(
+        std::chrono::steady_clock::time_point deadline, std::size_t max);
 
     /// Marks the queue closed: future try_push calls reject, and consumers
     /// waiting on an empty queue wake up.  Already-queued jobs stay poppable.

@@ -166,15 +166,7 @@ ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
                               config_.fault_injector},
                 &background_),
       queue_(config_.queue_depth),
-      batcher_(BatcherConfig{config_.max_batch, config_.max_wait}),
-      degrade_(config_.degradation),
-      adaptive_([this] {
-          // The policy's ceiling is always the configured wait; only the
-          // pressure terms come from the adaptive config.
-          AdaptiveBatchConfig a = config_.adaptive;
-          a.max_wait = config_.max_wait;
-          return AdaptiveBatchPolicy(a);
-      }()) {
+      degrade_(config_.degradation) {
     if (config_.method != kAutoMethod && !known_method(config_.method))
         throw std::runtime_error("unknown method '" + config_.method +
                                  "' (expected " + explainer_list_with_auto() + ")");
@@ -186,8 +178,6 @@ ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
         hash_string("flat_tree_shap_v1", 0xcbf29ce484222325ULL);
     explainer_config_fp_[explainer_index("integrated_gradients")] = fnv1a_u64(
         config_.ig_steps, hash_string("ig_steps", 0xcbf29ce484222325ULL));
-    metrics_.adaptive_wait_us.set(
-        static_cast<std::uint64_t>(config_.max_wait.count()));
     // The constructor's model becomes the default (first-loaded) entry; any
     // configured extra models follow, in order.  The registry wires each
     // entry's DWRR class config into the queue as it is created.
@@ -352,37 +342,22 @@ void ExplanationService::dispatcher_loop() {
         heartbeat();
         if (fault_fires(inj, FaultPoint::worker_death)) {
             // Simulated crash: exit without draining.  The watchdog notices
-            // and respawns; queued jobs survive in the queue/batcher.
+            // and respawns; queued jobs survive in the queue.
             dispatcher_exited_.store(true, std::memory_order_release);
             return;
         }
         if (fault_fires(inj, FaultPoint::queue_stall))
             std::this_thread::sleep_for(config_.fault_stall);
-        if (adaptive_.enabled()) {
-            // Re-plan the flush timeout from the live load signals; the
-            // policy is pure, so this is just arithmetic on two gauges.
-            const auto wait = adaptive_.effective_wait(
-                {queue_.size(), metrics_.service_time_us.quantile(0.99)});
-            batcher_.set_max_wait(wait);
-            metrics_.adaptive_wait_us.set(static_cast<std::uint64_t>(wait.count()));
-        }
-        const auto now = Clock::now();
-        if (batcher_.due(now)) {
-            execute_batch(batcher_.flush());
-            continue;
-        }
-        // Park on the queue until the flush timer fires or (with no pending
-        // batch) a periodic wake-up to notice shutdown.
-        const auto deadline =
-            batcher_.deadline().value_or(now + std::chrono::milliseconds(50));
-        if (auto job = queue_.pop_wait(deadline)) {
+        // Work-conserving: block only until the first job, then run it with
+        // everything already queued behind it.  The periodic wake-up notices
+        // shutdown.
+        std::vector<Job> batch = queue_.pop_batch(
+            Clock::now() + std::chrono::milliseconds(50), config_.max_batch);
+        if (!batch.empty()) {
             metrics_.queue_depth.set(queue_.size());
-            if (batcher_.add(std::move(*job), Clock::now()))
-                execute_batch(batcher_.flush());
+            execute_batch(std::move(batch));
         } else if (queue_.closed()) {
-            // Drained: serve the stragglers and exit.
-            if (batcher_.pending() > 0) execute_batch(batcher_.flush());
-            if (queue_.size() == 0) return;
+            return;  // drained; stop() serves any straggler inline
         }
     }
 }
@@ -428,11 +403,11 @@ void ExplanationService::watchdog_loop() {
 }
 
 void ExplanationService::drain_inline() {
-    while (auto job = queue_.try_pop()) {
-        if (batcher_.add(std::move(*job), Clock::now()))
-            execute_batch(batcher_.flush());
+    for (;;) {
+        std::vector<Job> batch = queue_.pop_batch(Clock::now(), config_.max_batch);
+        if (batch.empty()) return;
+        execute_batch(std::move(batch));
     }
-    if (batcher_.pending() > 0) execute_batch(batcher_.flush());
 }
 
 CacheKey ExplanationService::key_for(const Job& job) const {

@@ -1,9 +1,10 @@
-// Online explanation service: queue -> micro-batcher -> thread pool -> cache.
+// Online explanation service: queue -> dispatcher -> thread pool -> cache.
 //
 // Long-running, in-process front door for explanation traffic.  Producers
-// submit() ExplainRequests; a dispatcher thread coalesces them into
-// micro-batches (serve/batcher.hpp) and executes each batch as one
-// parallel_for over the PR-1 shared pool, consulting the sharded LRU
+// submit() ExplainRequests; a dispatcher thread waits only for the first
+// queued job, takes it with every job already queued behind it (up to
+// max_batch; serve/request_queue.hpp), and executes that batch at once as
+// one parallel_for over the shared pool, consulting the sharded LRU
 // explanation cache first.  Every stage is instrumented (serve/metrics.hpp).
 //
 // Determinism contract (the serving extension of DESIGN.md section 8):
@@ -51,8 +52,6 @@
 #include "core/drift.hpp"
 #include "core/explanation.hpp"
 #include "mlcore/model.hpp"
-#include "serve/adaptive.hpp"
-#include "serve/batcher.hpp"
 #include "serve/degradation.hpp"
 #include "serve/errors.hpp"
 #include "serve/explainers.hpp"
@@ -130,9 +129,10 @@ struct ServiceConfig {
     std::size_t interaction_points = 64;
     /// Backpressure bound of the admission queue.
     std::size_t queue_depth = 256;
-    /// Micro-batch flush thresholds (see serve/batcher.hpp).
+    /// Most jobs one batch takes off the queue.  The dispatcher never waits
+    /// to fill a batch: it runs whatever is queued, so batches grow only
+    /// under backlog.
     std::size_t max_batch = 16;
-    std::chrono::microseconds max_wait{200};
     /// LRU cache geometry.  quantum == 0 keys on exact feature bit patterns
     /// (lossless: hits only for true repeats); quantum > 0 buckets features
     /// to that grid, trading bitwise fidelity for hit rate.
@@ -145,12 +145,6 @@ struct ServiceConfig {
     /// Overload ladder thresholds; all-zero (the default) disables
     /// degradation entirely.
     DegradationConfig degradation;
-
-    /// Adaptive micro-batching: shrink max_wait as queue depth / service
-    /// p99 approach the SLO (serve/adaptive.hpp).  Disabled by default; the
-    /// policy's ceiling is overwritten with `max_wait` at construction so
-    /// the two knobs cannot disagree.
-    AdaptiveBatchConfig adaptive;
 
     /// Per-tenant circuit breaker on the registry path (serve/registry.hpp):
     /// each model entry trips open when its compute error rate over a full
@@ -303,8 +297,8 @@ private:
     void dispatcher_loop();
     void watchdog_loop();
     void execute_batch(std::vector<Job> batch);
-    /// Drains whatever is left in the queue/batcher on the calling thread —
-    /// the shutdown path after both worker threads have been joined.
+    /// Drains whatever is left in the queue on the calling thread — the
+    /// shutdown path after both worker threads have been joined.
     void drain_inline();
     /// Validation/resolution for submit_async(): resolves the model name,
     /// validates the payload, and stamps `job` (entry, pinned snapshot,
@@ -373,9 +367,7 @@ private:
     std::array<std::uint64_t, kNumExplainers> explainer_config_fp_{};
     ModelRegistry registry_;
     RequestQueue queue_;
-    MicroBatcher batcher_;
     DegradationPolicy degrade_;
-    AdaptiveBatchPolicy adaptive_;
     mutable ServiceMetrics metrics_;
     /// Memoized interaction tables keyed by model-snapshot fingerprint (see
     /// interaction_table()).  The mutex is held across the one-time compute:

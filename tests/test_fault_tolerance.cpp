@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <future>
 #include <limits>
 #include <map>
@@ -27,6 +26,7 @@
 #include "serve/ndjson.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 
 namespace ml = xnfv::ml;
 namespace serve = xnfv::serve;
@@ -38,22 +38,7 @@ using std::chrono::milliseconds;
 
 namespace {
 
-struct Gate {
-    std::mutex m;
-    std::condition_variable cv;
-    bool open = false;
-    void wait() {
-        std::unique_lock lock(m);
-        cv.wait(lock, [this] { return open; });
-    }
-    void release() {
-        {
-            std::lock_guard lock(m);
-            open = true;
-        }
-        cv.notify_all();
-    }
-};
+using xnfv::testutil::Gate;
 
 std::shared_ptr<const ml::Model> sum_model() {
     return std::make_shared<ml::LambdaModel>(3, [](std::span<const double> x) {
@@ -226,7 +211,6 @@ TEST(ExplanationService, DegradesUnderQueueDepthAndNeverCachesDegraded) {
     cfg.method = "sampling";
     cfg.seed = 5;
     cfg.max_batch = 1;  // the first request becomes its own stuck batch
-    cfg.max_wait = microseconds(0);
     cfg.threads = 1;
     cfg.degradation.reduced_queue_depth = 2;
     cfg.degradation.baseline_queue_depth = 4;
@@ -308,7 +292,6 @@ TEST(ExplanationService, ExpiredDeadlineAnsweredWithoutComputing) {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 1;
-    cfg.max_wait = microseconds(0);
     cfg.threads = 1;
     serve::ExplanationService service(model, tiny_background(), cfg);
 
@@ -556,8 +539,8 @@ TEST(RequestQueueShutdownRace, ConcurrentPushersSurviveClose) {
         }
         std::thread popper([&queue] {
             while (true) {
-                auto job = queue.pop_wait(Clock::now() + milliseconds(1));
-                if (!job.has_value() && queue.closed()) return;
+                const auto batch = queue.pop_batch(Clock::now() + milliseconds(1), 16);
+                if (batch.empty() && queue.closed()) return;
             }
         });
         std::this_thread::sleep_for(microseconds(200 * (round % 5)));

@@ -39,10 +39,11 @@ serve::Job class_job(std::uint64_t id, std::size_t model_class) {
     return job;
 }
 
-/// Pops everything, returning the class of each popped job in order.
+/// Pops everything as one batch, returning the class of each job in order.
 std::vector<std::size_t> drain_classes(serve::RequestQueue& queue) {
     std::vector<std::size_t> order;
-    while (auto job = queue.try_pop()) order.push_back(job->model_class);
+    for (const auto& job : queue.pop_batch(std::chrono::steady_clock::now(), queue.size()))
+        order.push_back(job.model_class);
     return order;
 }
 
@@ -55,9 +56,9 @@ TEST(DwrrQueue, SingleClassDegeneratesToFifo) {
     for (std::uint64_t id = 1; id <= 5; ++id)
         ASSERT_EQ(queue.try_push(class_job(id, 0)), serve::ServeError::none);
     for (std::uint64_t id = 1; id <= 5; ++id) {
-        auto job = queue.try_pop();
-        ASSERT_TRUE(job.has_value());
-        EXPECT_EQ(job->request.id, id);
+        auto batch = queue.pop_batch(std::chrono::steady_clock::now(), 1);
+        ASSERT_EQ(batch.size(), 1u);
+        EXPECT_EQ(batch[0].request.id, id);
     }
 }
 
@@ -112,8 +113,10 @@ TEST(DwrrQueue, LateJoiningClassIsServedWithinOneRound) {
     for (std::uint64_t id = 0; id < 8; ++id)
         ASSERT_EQ(queue.try_push(class_job(id, 0)), serve::ServeError::none);
     // Two pops of the monopolist, then the cold tenant arrives.
-    ASSERT_EQ(queue.try_pop()->model_class, 0u);
-    ASSERT_EQ(queue.try_pop()->model_class, 0u);
+    const auto first = queue.pop_batch(std::chrono::steady_clock::now(), 2);
+    ASSERT_EQ(first.size(), 2u);
+    ASSERT_EQ(first[0].model_class, 0u);
+    ASSERT_EQ(first[1].model_class, 0u);
     ASSERT_EQ(queue.try_push(class_job(100, 1)), serve::ServeError::none);
     const auto order = drain_classes(queue);
     // The newcomer is popped after at most one more class-0 pop — it cannot
@@ -140,7 +143,7 @@ TEST(DwrrQueue, QuotaCapsOneClassUnderTheGlobalDepth) {
     EXPECT_EQ(queue.size(), 8u);
     // Popping a quota-capped job frees its slot.
     while (queue.class_size(1) > 1)
-        ASSERT_TRUE(queue.try_pop().has_value());
+        ASSERT_EQ(queue.pop_batch(std::chrono::steady_clock::now(), 1).size(), 1u);
     EXPECT_EQ(queue.try_push(class_job(11, 1)), serve::ServeError::none);
 }
 
@@ -196,7 +199,6 @@ TEST(MultiTenantService, QuotaRejectionsCountAgainstTheHotTenantOnly) {
     cfg.seed = 11;
     cfg.queue_depth = 64;
     cfg.max_batch = 4;
-    cfg.max_wait = std::chrono::microseconds(50);
     cfg.extra_models.push_back({"hot", s.tree, 1, /*quota=*/4});
     serve::ExplanationService service(s.forest, s.background, cfg);
 
@@ -261,7 +263,6 @@ TEST(MultiTenantService, ColdTenantCompletesEverythingUnderSustainedFlood) {
     cfg.seed = 11;
     cfg.queue_depth = 32;
     cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(50);
     cfg.extra_models.push_back({"hot", s.tree, 1, /*quota=*/8});
     serve::ExplanationService service(s.forest, s.background, cfg);
 

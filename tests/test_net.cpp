@@ -9,7 +9,8 @@
 //
 // The rest covers the failure policy: pipelined ordering, per-connection id
 // assignment, connection-limit rejection, slow-reader backpressure close,
-// idle timeout, and graceful drain with requests still in the micro-batcher.
+// idle timeout, and graceful drain with requests still queued behind a busy
+// dispatcher.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -30,11 +31,13 @@
 #include "net/server.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace ml = xnfv::ml;
 namespace net = xnfv::net;
 namespace serve = xnfv::serve;
+namespace testutil = xnfv::testutil;
 namespace wl = xnfv::wl;
 namespace xai = xnfv::xai;
 
@@ -321,18 +324,26 @@ TEST(NetServer, IdleConnectionTimedOut) {
 }
 
 TEST(NetServer, GracefulDrainFlushesRequestsStillInBatcher) {
+    // A held dispatcher keeps the client's five requests queued.
     serve::ServiceConfig scfg;
-    scfg.max_wait = std::chrono::microseconds(300000);  // park in the batcher
     scfg.max_batch = 64;
+    const auto gate = testutil::add_gate(scfg, scenario().data.x.cols());
     Harness h(scfg);
+    testutil::DispatcherHold hold(*h.service, gate);
     auto client = h.connect();
     for (int i = 0; i < 5; ++i)
         ASSERT_TRUE(client.send_line(R"({"op":"explain","row":)" +
                                      std::to_string(i) + "}"));
-    // Give the loop time to read and admit the frames, then drain while the
-    // micro-batch is still waiting for its flush timer.
-    std::this_thread::sleep_for(100ms);
+    // Wait until the loop has read and admitted the frames, then drain while
+    // they are still queued, and only then let the dispatcher go.
+    const auto deadline = std::chrono::steady_clock::now() + kRecvTimeout;
+    while (h.service->stats().requests_accepted < 6) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "requests never admitted";
+        std::this_thread::sleep_for(1ms);
+    }
     h.server->request_drain();
+    ASSERT_TRUE(hold.release().ok);
 
     // Every in-flight request is still answered, in order...
     for (std::uint64_t want = 1; want <= 5; ++want) {
@@ -343,7 +354,9 @@ TEST(NetServer, GracefulDrainFlushesRequestsStillInBatcher) {
     // ...and only then does the server close and run() return.
     std::string line;
     EXPECT_FALSE(client.recv_line(line, std::chrono::milliseconds(10000)));
+    client.close();  // lets the drain finish without lingering on it
     h.stop();
+    EXPECT_EQ(h.service->stats().batch_size.max, 5u);  // served as one batch
 }
 
 TEST(NetServer, HalfCloseStillAnswersInFlight) {

@@ -88,7 +88,6 @@ serve::ServiceConfig service_config() {
     cfg.seed = kSeed;
     cfg.queue_depth = 512;
     cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(100);
     cfg.cache_capacity = 4096;
     return cfg;
 }

@@ -89,7 +89,6 @@ serve::ServiceConfig service_config() {
     cfg.seed = kSeed;
     cfg.queue_depth = 512;
     cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(100);
     cfg.cache_capacity = 4096;
     return cfg;
 }
@@ -611,7 +610,7 @@ TEST(ShardedStats, StatsKeysKeepTheirWireOrderOnEveryServer) {
         "ok", "op", "requests_accepted", "requests_rejected", "requests_completed",
         "requests_degraded", "batches", "batch_size_mean", "cache_hits", "cache_misses",
         "cache_hit_rate", "cache_evictions", "cache_epoch", "drift_checks",
-        "drift_flushes", "adaptive_wait_us", "service_us_p50", "service_us_p95",
+        "drift_flushes", "service_us_p50", "service_us_p95",
         "service_us_p99", "model_evals", "probe_rows_p50", "probe_rows_mean",
         "probe_rows_max", "fast_path_hits", "explainers", "worker_respawns",
         "worker_stalls", "faults_injected", "snapshot_writes", "snapshot_records_loaded",

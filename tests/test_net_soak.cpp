@@ -143,7 +143,6 @@ struct SoakHarness {
         cfg.seed = kSeed;
         cfg.queue_depth = queue_depth;
         cfg.max_batch = 16;
-        cfg.max_wait = std::chrono::microseconds(100);
         cfg.cache_capacity = 4096;
         net::ShardedServerConfig shcfg;
         shcfg.shards = shards;

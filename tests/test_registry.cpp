@@ -92,7 +92,6 @@ serve::ServiceConfig base_config() {
     cfg.seed = kSeed;
     cfg.queue_depth = 256;
     cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(50);
     return cfg;
 }
 

@@ -98,7 +98,6 @@ serve::ExplainRequest request_for(std::uint64_t id, std::vector<double> features
 serve::ServiceConfig quick_config() {
     serve::ServiceConfig cfg;
     cfg.max_batch = 4;
-    cfg.max_wait = std::chrono::microseconds(100);
     cfg.seed = kSeed;
     return cfg;
 }

@@ -81,7 +81,6 @@ serve::ServiceConfig plain_config() {
     cfg.seed = 11;
     cfg.queue_depth = 512;
     cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(100);
     cfg.cache_capacity = 4096;
     return cfg;
 }

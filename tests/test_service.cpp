@@ -1,26 +1,28 @@
 // Unit tests for the online explanation service building blocks: bounded
-// queue backpressure, micro-batcher flush policies (with an explicit clock,
-// so flush-by-timeout is deterministic), sharded LRU cache accounting,
-// metrics, the ND-JSON codec, and the assembled ExplanationService.
+// queue backpressure and batch pops, sharded LRU cache accounting, metrics,
+// the ND-JSON codec, and the assembled ExplanationService (including how its
+// work-conserving dispatcher forms batches).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/interaction.hpp"
-#include "serve/batcher.hpp"
 #include "serve/explanation_cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 
 namespace ml = xnfv::ml;
 namespace serve = xnfv::serve;
@@ -66,7 +68,7 @@ TEST(RequestQueue, RejectsWithQueueFullWhenDepthReached) {
     EXPECT_EQ(queue.size(), 2u);
 
     // Popping frees a slot.
-    EXPECT_TRUE(queue.try_pop().has_value());
+    EXPECT_EQ(queue.pop_batch(Clock::now(), 1).size(), 1u);
     EXPECT_EQ(queue.try_push(make_job(3)), serve::ServeError::none);
 }
 
@@ -74,12 +76,14 @@ TEST(RequestQueue, PopsInFifoOrder) {
     serve::RequestQueue queue(8);
     for (std::uint64_t id = 1; id <= 4; ++id)
         ASSERT_EQ(queue.try_push(make_job(id)), serve::ServeError::none);
-    for (std::uint64_t id = 1; id <= 4; ++id) {
-        auto job = queue.try_pop();
-        ASSERT_TRUE(job.has_value());
-        EXPECT_EQ(job->request.id, id);
-    }
-    EXPECT_FALSE(queue.try_pop().has_value());
+    // A batch takes what is queued, in order, up to its cap.
+    const auto first = queue.pop_batch(Clock::now(), 3);
+    const auto rest = queue.pop_batch(Clock::now(), 3);
+    ASSERT_EQ(first.size(), 3u);
+    ASSERT_EQ(rest.size(), 1u);
+    for (std::uint64_t id = 1; id <= 3; ++id) EXPECT_EQ(first[id - 1].request.id, id);
+    EXPECT_EQ(rest[0].request.id, 4u);
+    EXPECT_TRUE(queue.pop_batch(Clock::now(), 3).empty());
 }
 
 TEST(RequestQueue, CloseRejectsNewButDrainsQueued) {
@@ -88,51 +92,18 @@ TEST(RequestQueue, CloseRejectsNewButDrainsQueued) {
     queue.close();
     EXPECT_EQ(queue.try_push(make_job(2)), serve::ServeError::service_stopped);
     // Already-admitted work survives the close.
-    auto job = queue.pop_wait(Clock::now() + microseconds(100));
-    ASSERT_TRUE(job.has_value());
-    EXPECT_EQ(job->request.id, 1u);
+    auto batch = queue.pop_batch(Clock::now() + microseconds(100), 4);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].request.id, 1u);
     // Drained + closed: pop returns immediately with nothing.
-    EXPECT_FALSE(queue.pop_wait(Clock::now() + std::chrono::seconds(5)).has_value());
+    EXPECT_TRUE(queue.pop_batch(Clock::now() + std::chrono::seconds(5), 4).empty());
 }
 
 TEST(RequestQueue, PopWaitTimesOutOnEmptyQueue) {
     serve::RequestQueue queue(4);
     const auto start = Clock::now();
-    EXPECT_FALSE(queue.pop_wait(start + std::chrono::milliseconds(20)).has_value());
+    EXPECT_TRUE(queue.pop_batch(start + std::chrono::milliseconds(20), 4).empty());
     EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(19));
-}
-
-// -------------------------------------------------------------- batcher ---
-
-TEST(MicroBatcher, FlushesBySize) {
-    serve::MicroBatcher batcher({.max_batch = 3, .max_wait = microseconds(1000000)});
-    const auto t0 = Clock::now();
-    EXPECT_FALSE(batcher.add(make_job(1), t0));
-    EXPECT_FALSE(batcher.add(make_job(2), t0));
-    EXPECT_TRUE(batcher.add(make_job(3), t0));  // full -> caller must flush
-    EXPECT_TRUE(batcher.due(t0));               // full batches are due immediately
-
-    const auto batch = batcher.flush();
-    ASSERT_EQ(batch.size(), 3u);
-    EXPECT_EQ(batch[0].request.id, 1u);
-    EXPECT_EQ(batch[2].request.id, 3u);
-    EXPECT_EQ(batcher.pending(), 0u);
-    EXPECT_FALSE(batcher.due(t0 + std::chrono::hours(1)));  // empty is never due
-}
-
-TEST(MicroBatcher, FlushesByTimeoutFromOldestPending) {
-    serve::MicroBatcher batcher({.max_batch = 100, .max_wait = microseconds(200)});
-    const auto t0 = Clock::now();
-    EXPECT_FALSE(batcher.add(make_job(1), t0));
-    // A later add does not restart the timer: deadline stays t0 + 200us.
-    EXPECT_FALSE(batcher.add(make_job(2), t0 + microseconds(150)));
-    ASSERT_TRUE(batcher.deadline().has_value());
-    EXPECT_EQ(*batcher.deadline(), t0 + microseconds(200));
-
-    EXPECT_FALSE(batcher.due(t0 + microseconds(199)));
-    EXPECT_TRUE(batcher.due(t0 + microseconds(200)));
-    EXPECT_EQ(batcher.flush().size(), 2u);
-    EXPECT_FALSE(batcher.deadline().has_value());
 }
 
 // ---------------------------------------------------------------- cache ---
@@ -415,24 +386,9 @@ TEST(NdJson, WriterEmitsValidEscapedJson) {
 
 namespace {
 
-/// Gate every model evaluation can block on — lets tests hold the dispatcher
-/// inside a batch while they fill the queue behind it.
-struct Gate {
-    std::mutex m;
-    std::condition_variable cv;
-    bool open = false;
-    void wait() {
-        std::unique_lock lock(m);
-        cv.wait(lock, [this] { return open; });
-    }
-    void release() {
-        {
-            std::lock_guard lock(m);
-            open = true;
-        }
-        cv.notify_all();
-    }
-};
+using xnfv::testutil::add_gate;
+using xnfv::testutil::DispatcherHold;
+using xnfv::testutil::Gate;
 
 std::shared_ptr<const ml::Model> sum_model() {
     return std::make_shared<ml::LambdaModel>(3, [](std::span<const double> x) {
@@ -458,7 +414,6 @@ TEST(ExplanationService, ServesRequestsAndCountsCacheHits) {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 4;
-    cfg.max_wait = microseconds(100);
     serve::ExplanationService service(sum_model(), tiny_background(), cfg);
 
     const auto first = service.explain_sync(request_for(1, {1.0, 2.0, 3.0}));
@@ -515,7 +470,6 @@ TEST(ExplanationService, BackpressureRejectsWhenQueueIsFull) {
     cfg.method = "occlusion";
     cfg.queue_depth = 2;
     cfg.max_batch = 1;       // dispatcher commits to a batch per request
-    cfg.max_wait = microseconds(0);
     cfg.threads = 1;         // compute runs inline on the dispatcher thread
     serve::ExplanationService service(model, tiny_background(), cfg);
 
@@ -568,20 +522,29 @@ TEST(ExplanationService, DuplicateRequestsWithinOneBatchComputeOnce) {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 4;
-    cfg.max_wait = std::chrono::microseconds(50000);  // force one batch of 4
+    const auto gate = add_gate(cfg, 3);
     serve::ExplanationService service(sum_model(), tiny_background(), cfg);
 
+    // All four queue behind a held dispatcher, so they form one batch.  The
+    // holder's own cache miss and batch are counted before it reaches the
+    // gate; the reset leaves only the duplicates in the counters.
+    DispatcherHold hold(service, gate);
+    service.stats_reset();
     std::vector<std::future<serve::ExplainResponse>> futures;
     for (std::uint64_t id = 0; id < 4; ++id) {
         auto sub = service.submit(request_for(id, {5.0, 6.0, 7.0}));
         ASSERT_EQ(sub.rejected, serve::ServeError::none);
         futures.push_back(std::move(sub.response));
     }
+    ASSERT_TRUE(hold.release().ok);
     std::vector<serve::ExplainResponse> responses;
     for (auto& f : futures) responses.push_back(f.get());
 
-    // One computation, three batch-local hits, identical bytes everywhere.
+    // One batch, one computation, three batch-local hits, identical bytes
+    // everywhere.
     const auto stats = service.stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.batch_size.max, 4u);
     EXPECT_EQ(stats.cache_misses, 1u);
     EXPECT_EQ(stats.cache_hits, 3u);
     for (const auto& r : responses) {
@@ -599,9 +562,11 @@ TEST(ExplanationService, SubmitAsyncDeliversInAdmissionOrder) {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 8;
-    cfg.max_wait = microseconds(50000);  // coalesce all three into one batch
+    const auto gate = add_gate(cfg, 3);
     serve::ExplanationService service(sum_model(), tiny_background(), cfg);
 
+    // All three queue behind a held dispatcher, so they form one batch.
+    DispatcherHold hold(service, gate);
     std::mutex m;
     std::condition_variable cv;
     std::vector<serve::ExplainResponse> delivered;
@@ -615,6 +580,7 @@ TEST(ExplanationService, SubmitAsyncDeliversInAdmissionOrder) {
             });
         ASSERT_EQ(rejected, serve::ServeError::none);
     }
+    ASSERT_TRUE(hold.release().ok);
     std::unique_lock lock(m);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                             [&] { return delivered.size() == 3; }));
@@ -622,6 +588,38 @@ TEST(ExplanationService, SubmitAsyncDeliversInAdmissionOrder) {
         EXPECT_EQ(delivered[id - 1].id, id);
         EXPECT_TRUE(delivered[id - 1].ok);
     }
+    EXPECT_EQ(service.stats().batches, 2u);  // the held request, then all three
+}
+
+// ------------------------------------------ work-conserving dispatch ---
+
+TEST(ExplanationService, JobsQueuedBehindABusyDispatcherRunAsFullBatches) {
+    // The dispatcher waits only for a first job, then takes every job already
+    // queued, up to max_batch; no timer is involved.  Six jobs queued behind
+    // a held one therefore run as batches of 4 and 2.
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.max_batch = 4;
+    const auto gate = add_gate(cfg, 3);
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+
+    DispatcherHold hold(service, gate);
+    std::vector<std::future<serve::ExplainResponse>> futures;
+    for (std::uint64_t id = 1; id <= 6; ++id) {
+        auto sub = service.submit(request_for(id, {static_cast<double>(id), 0.0, 1.0}));
+        ASSERT_EQ(sub.rejected, serve::ServeError::none);
+        futures.push_back(std::move(sub.response));
+    }
+    EXPECT_TRUE(hold.release().ok);
+    for (auto& f : futures) EXPECT_TRUE(f.get().ok);
+
+    // Batch sizes 1 (the held job), 4 and 2.
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.batches, 3u);
+    EXPECT_EQ(stats.batch_size.count, 3u);
+    EXPECT_EQ(stats.batch_size.min, 1u);
+    EXPECT_EQ(stats.batch_size.max, 4u);
+    EXPECT_EQ(stats.batch_size.sum, 7u);
 }
 
 TEST(ExplanationService, SubmitAsyncRejectsWithoutInvokingCallback) {
@@ -649,7 +647,6 @@ serve::ServiceConfig drift_config() {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 1;  // one request per batch: windows fill predictably
-    cfg.max_wait = microseconds(100);
     cfg.drift_window = 2;
     return cfg;
 }
@@ -713,20 +710,6 @@ TEST(ExplanationService, CacheHitsDoNotAdvanceDriftWindows) {
     EXPECT_EQ(stats.cache_hits, 5u);
     EXPECT_EQ(stats.drift_checks, 0u);
     EXPECT_EQ(stats.cache_epoch, 0u);
-}
-
-// ----------------------------------------- adaptive wait instrumentation ---
-
-TEST(ExplanationService, AdaptiveWaitGaugeReportsCeilingWhenUnpressured) {
-    serve::ServiceConfig cfg;
-    cfg.method = "occlusion";
-    cfg.max_wait = microseconds(300);
-    cfg.adaptive.slo_p99_us = 1e9;  // enabled, but unreachable SLO
-    cfg.adaptive.min_wait = microseconds(10);
-    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
-    ASSERT_TRUE(service.explain_sync(request_for(1, {1.0, 2.0, 3.0})).ok);
-    // No pressure: the effective wait equals the configured ceiling.
-    EXPECT_EQ(service.stats().adaptive_wait_us, 300u);
 }
 
 // ------------------------------------------- interaction-aware serving ---

@@ -8,6 +8,7 @@
 // fresh explainer via serve::make_explainer and call explain() once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <string>
@@ -16,10 +17,12 @@
 #include "mlcore/forest.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace ml = xnfv::ml;
 namespace serve = xnfv::serve;
+namespace testutil = xnfv::testutil;
 namespace wl = xnfv::wl;
 namespace xai = xnfv::xai;
 
@@ -81,25 +84,34 @@ serve::ExplainRequest request_for_row(std::uint64_t id, std::size_t row) {
     return r;
 }
 
-/// Submits every test row asynchronously (so the micro-batcher can coalesce
-/// them) and checks each response against the one-shot reference.
+/// Queues every test row behind a held dispatcher, then checks each response
+/// against the one-shot reference.  Every row is queued before the
+/// dispatcher moves on, so the batch shape follows from max_batch alone.
 void check_service_matches_one_shot(const std::string& method,
                                     serve::ServiceConfig cfg) {
     cfg.method = method;
     cfg.seed = kSeed;
+    const auto gate = testutil::add_gate(cfg, scenario().data.x.cols());
     serve::ExplanationService service(scenario().forest, scenario().background, cfg);
 
+    testutil::DispatcherHold hold(service, gate);
     std::vector<std::future<serve::ExplainResponse>> futures;
     for (std::size_t k = 0; k < test_rows().size(); ++k) {
         auto sub = service.submit(request_for_row(k, test_rows()[k]));
         ASSERT_EQ(sub.rejected, serve::ServeError::none);
         futures.push_back(std::move(sub.response));
     }
+    ASSERT_TRUE(hold.release().ok);
     for (std::size_t k = 0; k < futures.size(); ++k) {
         const auto response = futures[k].get();
         ASSERT_TRUE(response.ok) << response.error;
         expect_identical(response.explanation, one_shot(method, test_rows()[k]));
     }
+    // The held request's batch, then the rows in batches of max_batch.
+    const auto n = test_rows().size();
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.batches, 1 + (n + cfg.max_batch - 1) / cfg.max_batch);
+    EXPECT_EQ(stats.batch_size.max, std::min(n, cfg.max_batch));
 }
 
 serve::ServiceConfig sequential_config() {
@@ -118,8 +130,7 @@ serve::ServiceConfig batched_config() {
 
 serve::ServiceConfig coalescing_config() {
     serve::ServiceConfig cfg;
-    cfg.max_batch = 16;
-    cfg.max_wait = std::chrono::microseconds(20000);  // whole set in one batch
+    cfg.max_batch = 16;  // the whole row set in one batch
     cfg.threads = 8;
     return cfg;
 }
@@ -207,18 +218,26 @@ TEST(ServiceDeterminism, RepeatedRowsInOneBatchMatchOneShot) {
     serve::ServiceConfig cfg = coalescing_config();
     cfg.method = "lime";
     cfg.seed = kSeed;
+    const auto gate = testutil::add_gate(cfg, scenario().data.x.cols());
     serve::ExplanationService service(scenario().forest, scenario().background, cfg);
 
+    testutil::DispatcherHold hold(service, gate);
     std::vector<std::future<serve::ExplainResponse>> futures;
     for (std::size_t k = 0; k < test_rows().size(); ++k) {
         auto sub = service.submit(request_for_row(k, test_rows()[k]));
         ASSERT_EQ(sub.rejected, serve::ServeError::none);
         futures.push_back(std::move(sub.response));
     }
+    ASSERT_TRUE(hold.release().ok);
     for (std::size_t k = 0; k < futures.size(); ++k) {
         const auto response = futures[k].get();
         ASSERT_TRUE(response.ok) << response.error;
         expect_identical(response.explanation, one_shot("lime", test_rows()[k]));
     }
-    EXPECT_GT(service.stats().cache_hits, 0u);
+    // The held request, then all five rows in one batch: the repeat was
+    // answered inside that batch, not from an earlier batch's cache entry.
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.batch_size.max, test_rows().size());
+    EXPECT_GT(stats.cache_hits, 0u);
 }

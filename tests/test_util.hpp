@@ -1,13 +1,21 @@
 // Shared fixtures and synthetic-data helpers for the xnfv test suite.
 #pragma once
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mlcore/dataset.hpp"
 #include "mlcore/model.hpp"
 #include "mlcore/rng.hpp"
+#include "serve/service.hpp"
 
 namespace xnfv::testutil {
 
@@ -84,5 +92,101 @@ inline double max_abs_diff(std::span<const double> a, std::span<const double> b)
     for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::abs(a[i] - b[i]));
     return m;
 }
+
+/// One-way barrier: wait() blocks until release(); await_arrival() reports
+/// whether some caller entered wait() within `timeout`.
+struct Gate {
+    std::mutex m;
+    std::condition_variable cv;
+    bool arrived = false;
+    bool open = false;
+    void wait() {
+        std::unique_lock lock(m);
+        arrived = true;
+        cv.notify_all();
+        cv.wait(lock, [this] { return open; });
+    }
+    [[nodiscard]] bool await_arrival(std::chrono::milliseconds timeout) {
+        std::unique_lock lock(m);
+        return cv.wait_for(lock, timeout, [this] { return arrived; });
+    }
+    void release() {
+        {
+            std::lock_guard lock(m);
+            open = true;
+        }
+        cv.notify_all();
+    }
+};
+
+/// A `dim`-feature model that answers 0 once its gate opens.  add_gate()
+/// registers one beside a service's real model, and a DispatcherHold parks
+/// the dispatcher inside it.
+class GatedModel final : public xnfv::ml::Model {
+public:
+    explicit GatedModel(std::size_t dim) : dim_(dim) {}
+
+    [[nodiscard]] double predict(std::span<const double>) const override {
+        gate_.wait();
+        return 0.0;
+    }
+    [[nodiscard]] std::size_t num_features() const override { return dim_; }
+    [[nodiscard]] std::string name() const override { return "gate"; }
+
+    [[nodiscard]] bool await_arrival(std::chrono::milliseconds timeout) const {
+        return gate_.await_arrival(timeout);
+    }
+    void release() const { gate_.release(); }
+
+private:
+    std::size_t dim_;
+    mutable Gate gate_;
+};
+
+/// Registers a `dim`-feature GatedModel named "gate" in `cfg`.
+inline std::shared_ptr<const GatedModel> add_gate(xnfv::serve::ServiceConfig& cfg,
+                                                  std::size_t dim) {
+    auto gate = std::make_shared<const GatedModel>(dim);
+    cfg.extra_models.push_back({"gate", gate});
+    return gate;
+}
+
+/// Holds a service's dispatcher inside one request to its "gate" model:
+/// jobs submitted while the hold lasts queue behind it and are taken
+/// together, up to max_batch, once release() opens the gate — with no
+/// timing assumption.  The destructor opens the gate too, so a failed
+/// assertion ends the test instead of leaving the dispatcher blocked.
+class DispatcherHold {
+public:
+    DispatcherHold(xnfv::serve::ExplanationService& service,
+                   std::shared_ptr<const GatedModel> gate)
+        : gate_(std::move(gate)) {
+        xnfv::serve::ExplainRequest r;
+        r.model = "gate";
+        r.method = "occlusion";  // a probe method, so it evaluates the model
+        r.features.assign(gate_->num_features(), 0.0);
+        auto sub = service.submit(std::move(r));
+        if (sub.rejected != xnfv::serve::ServeError::none)
+            throw std::runtime_error("gate request rejected");
+        held_ = std::move(sub.response);
+        if (!gate_->await_arrival(std::chrono::seconds(30))) {
+            gate_->release();
+            throw std::runtime_error("dispatcher never reached the gate");
+        }
+    }
+    DispatcherHold(const DispatcherHold&) = delete;
+    DispatcherHold& operator=(const DispatcherHold&) = delete;
+    ~DispatcherHold() { gate_->release(); }
+
+    /// Opens the gate; returns the held request's response.
+    xnfv::serve::ExplainResponse release() {
+        gate_->release();
+        return held_.get();
+    }
+
+private:
+    std::shared_ptr<const GatedModel> gate_;
+    std::future<xnfv::serve::ExplainResponse> held_;
+};
 
 }  // namespace xnfv::testutil

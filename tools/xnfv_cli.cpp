@@ -124,8 +124,9 @@ int usage() {
         "            (else first) entry is the default model and --model is\n"
         "            then optional.  weight = DWRR share, quota = per-model\n"
         "            admission cap (0 = uncapped)\n"
-        "            [--batch N] [--wait-us U] [--queue N] [--cache N]\n"
-        "            [--quantum Q]\n"
+        "            [--batch N] [--queue N] [--cache N] [--quantum Q]\n"
+        "            --batch caps how many queued requests one batch takes;\n"
+        "            a batch never waits for more to arrive\n"
         "            [--degrade N] [--degrade-scale S]   overload ladder: at\n"
         "            admission depth N serve reduced budget, at 2N occlusion\n"
         "            [--snapshot FILE] [--snapshot-interval-ms M]   crash-safe\n"
@@ -133,8 +134,6 @@ int usage() {
         "            [--fault-seed S] [--fault-predict-rate R]\n"
         "            [--fault-stall-rate R] [--fault-worker-kill N]\n"
         "            deterministic chaos injection for fault-tolerance tests\n"
-        "            [--slo-us U] [--min-wait-us U]   adaptive micro-batching:\n"
-        "            shrink the flush wait as the service p99 nears the SLO\n"
         "            [--drift-window N]   drift-triggered cache invalidation\n"
         "            [--interaction-points N]   background rows sampled per\n"
         "            Friedman-H2 pair for \"interactions\" requests\n"
@@ -388,8 +387,9 @@ extern "C" void serve_signal_handler(int) {
 
 /// Newline-delimited-JSON request loop on stdin/stdout, or — with --listen —
 /// the same protocol served over TCP.  Explain requests are submitted
-/// asynchronously (so the micro-batcher can coalesce them) and answered in
-/// request order; `stats`/`quit` first drain everything pending.
+/// asynchronously (so requests queued behind a busy dispatcher share a
+/// batch) and answered in request order; `stats`/`quit` first drain
+/// everything pending.
 int cmd_serve(const Args& args) {
     const auto data = ml::read_csv_file(args.require("data"), task_from(args, "clf"));
 
@@ -399,7 +399,6 @@ int cmd_serve(const Args& args) {
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
     cfg.queue_depth = static_cast<std::size_t>(args.get_int("queue", 256));
     cfg.max_batch = static_cast<std::size_t>(args.get_int("batch", 16));
-    cfg.max_wait = std::chrono::microseconds(args.get_int("wait-us", 200));
     cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache", 4096));
     cfg.cache_quantum = std::stod(args.get("quantum", "0"));
     cfg.threads = static_cast<std::size_t>(args.get_int("threads", 0));
@@ -413,15 +412,6 @@ int cmd_serve(const Args& args) {
         cfg.degradation.baseline_queue_depth = static_cast<std::size_t>(2 * degrade);
     }
     cfg.degradation.reduced_budget_scale = std::stod(args.get("degrade-scale", "0.25"));
-
-    // Adaptive micro-batching: --slo-us arms the latency term; the depth
-    // term floors the wait when the queue reaches half its capacity.
-    if (const auto slo = args.get_int("slo-us", 0); slo > 0) {
-        cfg.adaptive.slo_p99_us = static_cast<double>(slo);
-        cfg.adaptive.queue_high = cfg.queue_depth / 2;
-        cfg.adaptive.min_wait =
-            std::chrono::microseconds(args.get_int("min-wait-us", 0));
-    }
 
     // Drift-triggered cache invalidation (core/drift.hpp): compare every
     // --drift-window full-fidelity explanations against the first window.
