@@ -1,27 +1,46 @@
 // Batched flat-tree TreeSHAP: the exact path-dependent algorithm of
 // core/tree_shap.hpp re-implemented over a structure-of-arrays ensemble
-// layout (the same re-packing mlcore/flat_tree.hpp applies to inference).
+// layout, with everything the instance cannot change computed once, at
+// build time.
 //
-// Why a second implementation exists:
-//   * The recursive walker pointer-chases 48-byte TreeNode structs, allocates
-//     a fresh collapsed-path vector set at every leaf, and recurses — fine
-//     for one-shot analysis, hostile to a serving hot path.
-//   * FlatTreeShap packs every tree's nodes into contiguous parallel arrays
-//     (int32 feature / child ids, double threshold / leaf value) with the
-//     per-edge cover ratios *precomputed at build time*, walks each tree with
-//     an explicit-stack (non-recursive) EXTEND/UNWIND that maintains the
-//     collapsed per-distinct-feature path state incrementally in preallocated
-//     per-thread scratch, and blocks batches tree-major so each tree's arrays
-//     stay cache-hot across a block of instances.  Warm explains perform zero
-//     heap allocations.
+// Why a second implementation exists: the recursive walker pointer-chases
+// 48-byte TreeNode structs, re-collapses the path and allocates at every
+// leaf, and rebuilds each leaf's subset-size polynomials per request.
+// Only the leaf's 0/1 indicator pattern depends on x.  build() therefore
+// records, per model:
+//   * the node arrays of every tree, concatenated (int32 feature / child
+//     ids, double threshold / leaf value), plus each split node's slot: the
+//     position of its feature on the collapsed path (distinct features in
+//     first-occurrence order) of every leaf below it;
+//   * one record per leaf: its collapsed feature list and the cover-ratio
+//     products b_j of those features;
+//   * the model's base value: per tree, the sum of leaf value × Π b_j in
+//     leaf visit order, aggregated across the ensemble;
+//   * for each leaf with m <= kMaxTableWidth distinct features, a table of
+//     m·2^(m−1) Shapley contributions, one per feature i and per 0/1
+//     pattern of the other m − 1 indicators, folded with the walker's own
+//     polynomial DP.  That is at most 80 doubles per leaf, all in one
+//     allocation sized before it is filled (0.34 MiB for the served
+//     100-tree forest, 0.13 MiB for the served GBT).  The limit is 5, not
+//     6, for the serving benchmark's 10 % peak-RSS bound: 6 would take the
+//     forest's tables to 0.56 MiB (measurements in DESIGN.md §16).
 //
-// Determinism contract (DESIGN.md §16): the floating-point operation sequence
-// per instance is *identical* to the recursive core/tree_shap walker — same
-// leaf visit order, same first-occurrence path collapse, same polynomial DP,
-// same lgamma-based Shapley weights (precomputed once into a triangular
-// table), same ensemble aggregation order — so attributions, base values and
-// predictions are bitwise-equal to TreeShap::explain at any thread count.
-// tests/test_fast_path.cpp pins this for Tree / Forest / GBT.
+// The per-instance walk only descends: an explicit stack of (node, mask)
+// frames, where bit j of a frame's mask is indicator a_j of slot j (1 iff x
+// passes every split on that feature so far).  A narrow leaf adds
+// leaf_value · (a_i − b_i) · table[i][pattern of the others] per feature; a
+// wider leaf keeps the polynomial over features 0..i−1 and replays only the
+// suffix for each i.  Masks are as many 64-bit words as the widest path
+// needs, so no path is truncated.
+//
+// Determinism contract (DESIGN.md §16): every indicator is exactly 0.0 or
+// 1.0, so a table entry is the very double the DP yields for that pattern,
+// and folding a shared prefix once is the same operation sequence as folding
+// it per feature.  Leaf visit order, per-leaf feature order, the lgamma
+// Shapley weights and the ensemble aggregation order are the recursive
+// walker's, so attributions, base values and predictions are bitwise-equal
+// to TreeShap::explain at any thread count.  tests/test_fast_path.cpp pins
+// this, on wide paths and against hex-float goldens too.
 #pragma once
 
 #include <cstdint>
@@ -48,25 +67,12 @@ struct FlatShapScratch {
     /// and cheap when already large enough.
     void resize(std::size_t num_features, std::size_t max_depth);
 
-    // Explicit DFS stack: node id + visit phase (0 = first entry, 1 = left
-    // subtree done, 2 = right subtree done).
+    // Explicit DFS stack: frame k is a node id and its indicator mask, which
+    // occupies words [k·W, (k+1)·W) of frame_mask for the model's mask width W.
     std::vector<std::int32_t> frame_node;
-    std::vector<std::uint8_t> frame_phase;
+    std::vector<std::uint64_t> frame_mask;
 
-    // Per-pushed-edge undo log so UNWIND restores the exact prior bits of the
-    // collapsed state (bitwise equal to a from-scratch collapse at the leaf).
-    std::vector<std::int32_t> edge_pos;
-    std::vector<std::uint8_t> edge_created;
-    std::vector<double> edge_saved_a;
-    std::vector<double> edge_saved_b;
-
-    // Collapsed path state: distinct features in first-occurrence order with
-    // their indicator products (a) and cover-ratio products (b).
-    std::vector<std::int32_t> feat;
-    std::vector<double> a;
-    std::vector<double> b;
-
-    std::vector<double> poly;      ///< subset-size polynomial DP buffer
+    std::vector<double> poly;      ///< prefix + suffix polynomials (wide leaves)
     std::vector<double> phi;       ///< ensemble attribution accumulator
     std::vector<double> tree_phi;  ///< per-tree buffer (GBT scaling)
 };
@@ -92,9 +98,15 @@ public:
     [[nodiscard]] std::size_t num_nodes() const noexcept { return feature_.size(); }
     [[nodiscard]] std::size_t max_depth() const noexcept { return max_depth_; }
 
+    /// Leaves with at most this many distinct path features are served from
+    /// a precomputed contribution table; wider leaves fold per request.
+    static constexpr std::size_t kMaxTableWidth = 5;
+
     /// Exact SHAP attributions + prediction for one instance, bitwise equal
-    /// to TreeShap::explain on the source model.  Zero allocations once
-    /// `scratch` is warm.  Throws std::invalid_argument on size mismatch.
+    /// to TreeShap::explain on the source model.  Once `scratch` is warm, the
+    /// returned attribution vector is the only allocation
+    /// (tests/test_probe_alloc.cpp).  Throws std::invalid_argument on size
+    /// mismatch.
     [[nodiscard]] Explanation explain(std::span<const double> x,
                                       FlatShapScratch& scratch) const;
 
@@ -106,12 +118,26 @@ public:
 private:
     FlatTreeShap() = default;
 
-    void add_tree(std::span<const xnfv::ml::TreeNode> nodes);
-    void build_weight_table();
+    /// One leaf's x-independent state.
+    struct Leaf {
+        std::uint32_t path = 0;   ///< offset into path_feature_ / path_cover_
+        std::uint32_t width = 0;  ///< m: distinct features on the path
+        std::uint32_t table = 0;  ///< offset into table_ (m <= kMaxTableWidth)
+    };
 
-    /// One tree's walk: accumulates phi, returns the tree's base value.
-    double walk_tree(std::size_t tree, std::span<const double> x,
-                     FlatShapScratch& s, std::span<double> phi) const;
+    /// Appends one tree's nodes and leaf records; returns the tree's base
+    /// value (Σ leaf value × Π b_j in leaf visit order).
+    double add_tree(std::span<const xnfv::ml::TreeNode> nodes);
+    void build_weight_table();
+    void build_tables();
+
+    /// One tree's walk: accumulates the tree's attributions into phi.
+    void walk_tree(std::size_t tree, std::span<const double> x, FlatShapScratch& s,
+                   std::span<double> phi) const;
+
+    /// Adds one leaf's attributions given its frame's indicator mask.
+    void add_leaf(std::size_t node, const std::uint64_t* mask, FlatShapScratch& s,
+                  std::span<double> phi) const;
 
     /// Leaf value reached by descending tree `tree` at x (the scalar
     /// DecisionTree::predict descent over the flat arrays).
@@ -131,9 +157,18 @@ private:
     std::vector<std::int32_t> left_;
     std::vector<std::int32_t> right_;
     std::vector<double> value_;            ///< leaf value (junk for internal)
-    std::vector<double> ratio_left_;       ///< cover(left) / max(cover, 1)
-    std::vector<double> ratio_right_;      ///< cover(right) / max(cover, 1)
+    std::vector<std::int32_t> slot_;       ///< split's collapsed-path slot (junk for leaves)
+    std::vector<std::int32_t> leaf_;       ///< index into leaves_ (junk for internal)
     std::vector<std::int32_t> roots_;      ///< absolute root id per tree
+
+    // Per-leaf records, leaves in visit order.
+    std::vector<Leaf> leaves_;
+    std::vector<std::int32_t> path_feature_;  ///< collapsed features, path order
+    std::vector<double> path_cover_;          ///< b_j: cover-ratio product per feature
+    /// Narrow leaves' contributions: entry i·2^(m−1) + p of a leaf is feature
+    /// i's Shapley sum when bit t of p is the indicator of the t-th other
+    /// feature in path order.
+    std::vector<double> table_;
 
     // Triangular Shapley-weight table: weight(k, m) = k!(m-k-1)!/m! for
     // m in 1..max_depth_, k in 0..m-1, computed with the same lgamma
@@ -144,6 +179,9 @@ private:
     Kind kind_ = Kind::tree;
     std::size_t num_features_ = 0;
     std::size_t max_depth_ = 0;
+    std::size_t max_width_ = 0;
+    std::size_t mask_words_ = 1;  ///< 64-bit words per frame mask
+    double base_value_ = 0.0;     ///< the explanation's base value, x-independent
     double base_score_ = 0.0;     ///< GBT only
     double learning_rate_ = 0.0;  ///< GBT only
 };

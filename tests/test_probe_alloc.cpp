@@ -5,7 +5,9 @@
 // ProbeScratch per task.  These tests count global operator new calls to pin
 // that down: a warm predict_batch allocates nothing, and an explainer's
 // allocation count does not grow with the number of background rows (the old
-// per-probe loop allocated per evaluation).
+// per-probe loop allocated per evaluation).  The exact tree fast path walks
+// preallocated scratch, so a warm FlatTreeShap::explain allocates only the
+// attribution vector it returns.
 //
 // The counting operator new replacement is incompatible with sanitizer
 // interceptors — keep this binary out of the ASan/TSan CI jobs.
@@ -17,6 +19,7 @@
 #include <new>
 #include <vector>
 
+#include "core/flat_tree_shap.hpp"
 #include "core/kernel_shap.hpp"
 #include "core/occlusion.hpp"
 #include "core/parallel.hpp"
@@ -122,4 +125,25 @@ TEST(ProbeAlloc, KernelShapAllocationCountIndependentOfBackgroundSize) {
     const auto large = allocs_with_bg(64);
     EXPECT_EQ(small, large) << "allocation count must not scale with background rows";
     xnfv::set_default_threads(0);  // restore hardware default
+}
+
+TEST(ProbeAlloc, WarmFlatTreeShapAllocatesOnlyTheReturnedAttributions) {
+    // The (node, mask) stack, the wide-leaf polynomials and the ensemble
+    // accumulators all live in the scratch; the per-leaf tables were built
+    // with the snapshot.  What is left is the Explanation's attribution
+    // vector ("tree_shap" fits the string's inline buffer).
+    const auto data = xnfv::golden::make_dataset();
+    const auto forest = xnfv::golden::make_forest(data);
+    const auto gbt = xnfv::golden::make_gbt(data);
+    for (const ml::Model* model : {static_cast<const ml::Model*>(&forest),
+                                   static_cast<const ml::Model*>(&gbt)}) {
+        const auto flat = xai::FlatTreeShap::build(*model);
+        ASSERT_NE(flat, nullptr);
+        xai::FlatShapScratch scratch;
+        const auto x = data.x.row(3);
+        (void)flat->explain(x, scratch);  // warm: sizes the scratch
+        xai::Explanation e;
+        EXPECT_EQ(count_allocs([&] { e = flat->explain(x, scratch); }), 1u) << model->name();
+        EXPECT_EQ(e.attributions.size(), data.num_features());
+    }
 }
