@@ -12,7 +12,7 @@
 #include <deque>
 #include <unordered_map>
 
-#include "serve/explanation_cache.hpp"
+#include "serve/fnv.hpp"
 #include "serve/ndjson.hpp"
 
 namespace xnfv::net {
@@ -129,9 +129,7 @@ struct Driver {
         const std::uint64_t h = serve::fnv1a_u64(
             attempt,
             serve::fnv1a_u64(
-                rid, serve::fnv1a_u64(conn.index,
-                                      serve::fnv1a_u64(config.retry_seed,
-                                                       0xcbf29ce484222325ULL))));
+                rid, serve::fnv1a_u64(conn.index, serve::fnv1a_u64(config.retry_seed))));
         const std::uint64_t jitter = base == 0 ? 0 : h % (base + 1);
         return std::chrono::milliseconds((base << expo) + jitter);
     }

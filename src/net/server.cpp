@@ -183,7 +183,6 @@ void ExplanationServer::on_wake() {
 }
 
 void ExplanationServer::on_tick() {
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
     // Chaos: shard death.  Stopping the loop makes run() tear down every
     // connection and release every budget slot on its way out — exactly the
     // crash the supervisor must recover from, minus undefined state.

@@ -186,11 +186,6 @@ public:
     /// Service stats with the net section populated (net_enabled = true).
     [[nodiscard]] serve::ServiceStats stats() const;
 
-    /// Liveness epoch, bumped once per event-loop tick.  The shard
-    /// supervisor samples it to tell a serving loop from a wedged one.
-    [[nodiscard]] std::uint64_t heartbeat() const noexcept {
-        return heartbeat_.load(std::memory_order_relaxed);
-    }
     /// True once run() has returned (loop stopped, sockets torn down, every
     /// budget slot this server held released).  The supervisor's respawn
     /// trigger: a finished server whose fleet is not draining died.
@@ -272,7 +267,6 @@ private:
     std::uint64_t next_conn_id_ = 1;
     std::shared_ptr<CompletionChannel> channel_;
     std::atomic<bool> drain_requested_{false};
-    std::atomic<std::uint64_t> heartbeat_{0};
     std::atomic<bool> finished_{false};
     bool draining_ = false;
     std::chrono::steady_clock::time_point drain_deadline_{};

@@ -39,9 +39,9 @@
 // construction state (the new service reloads that snapshot), replays the
 // admin log so late-loaded tenants reappear, rebinds the reuseport
 // listener, and spawns a fresh thread — sibling shards keep serving
-// untouched.  A wedged-but-alive thread (stale heartbeat() epoch) cannot be
-// safely killed from outside; it is left to its watchdog-equipped service
-// and surfaces through the heartbeat accessor instead.
+// untouched.  A wedged-but-alive thread cannot be safely killed from
+// outside, so the supervisor leaves it alone; a shard whose dispatcher is
+// stuck while requests wait shows up in its service's `worker_stalls`.
 #pragma once
 
 #include <atomic>

@@ -12,7 +12,7 @@
 #include "nfv/remediation.hpp"
 #include "nfv/simulator.hpp"
 #include "nfv/telemetry.hpp"
-#include "serve/explanation_cache.hpp"
+#include "serve/fnv.hpp"
 #include "serve/ndjson.hpp"
 #include "workload/dataset_builder.hpp"
 
@@ -54,7 +54,7 @@ namespace {
 }
 
 [[nodiscard]] std::uint64_t hash_lines(const std::vector<std::string>& lines) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t h = serve::kFnvOffsetBasis;
     for (const auto& line : lines) {
         h = serve::fnv1a(
             {reinterpret_cast<const std::uint8_t*>(line.data()), line.size()}, h);

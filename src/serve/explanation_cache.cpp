@@ -3,28 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 namespace xnfv::serve {
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t seed) noexcept {
-    std::uint64_t h = seed;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t seed) noexcept {
-    std::uint8_t bytes[8];
-    std::memcpy(bytes, &value, sizeof(bytes));
-    return fnv1a(bytes, seed);
-}
-
-std::uint64_t hash_string(const std::string& s, std::uint64_t seed) noexcept {
-    return fnv1a({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, seed);
-}
 
 CacheKey::CacheKey(std::span<const double> features, double quantum,
                    std::uint64_t context)
@@ -48,7 +28,7 @@ CacheKey::CacheKey(std::vector<std::uint64_t> words, std::uint64_t context)
 }
 
 void CacheKey::rehash() noexcept {
-    std::uint64_t h = fnv1a_u64(context_, 0xcbf29ce484222325ULL);
+    std::uint64_t h = fnv1a_u64(context_);
     for (const std::uint64_t w : words_) h = fnv1a_u64(w, h);
     hash_ = h;
 }

@@ -20,12 +20,12 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/explanation.hpp"
+#include "serve/fnv.hpp"  // fnv1a, fnv1a_u64, hash_string: the key hash
 #include "serve/metrics.hpp"
 
 namespace xnfv::serve {
@@ -125,13 +125,5 @@ private:
     std::size_t shard_capacity_;
     Counter hits_, misses_, evictions_;
 };
-
-/// FNV-1a over arbitrary bytes — the project-wide fingerprint helper for
-/// cache keys (model text, config fields, background data).
-[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                                  std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
-[[nodiscard]] std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t seed) noexcept;
-/// fnv1a over the bytes of `s`, chained from `seed`.
-[[nodiscard]] std::uint64_t hash_string(const std::string& s, std::uint64_t seed) noexcept;
 
 }  // namespace xnfv::serve

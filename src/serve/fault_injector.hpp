@@ -28,21 +28,17 @@ namespace xnfv::serve {
 /// Named failure points the service exposes to the injector.
 enum class FaultPoint : std::uint8_t {
     predict_throw = 0,  ///< a model evaluation throws mid-explanation
-    clock_skew,         ///< the dispatcher's clock jumps forward
     queue_stall,        ///< the dispatcher pauses before executing a batch
     cache_corrupt,      ///< the snapshot writer scrambles a record's bytes
-    worker_death,       ///< the dispatcher thread exits mid-run
 };
 
-inline constexpr std::size_t kNumFaultPoints = 5;
+inline constexpr std::size_t kNumFaultPoints = 3;
 
 [[nodiscard]] constexpr const char* to_string(FaultPoint point) noexcept {
     switch (point) {
         case FaultPoint::predict_throw: return "predict_throw";
-        case FaultPoint::clock_skew: return "clock_skew";
         case FaultPoint::queue_stall: return "queue_stall";
         case FaultPoint::cache_corrupt: return "cache_corrupt";
-        case FaultPoint::worker_death: return "worker_death";
     }
     return "unknown";
 }
@@ -63,8 +59,7 @@ public:
         std::uint64_t seed = 0;
         /// Per-point firing probability in [0, 1] for each poll.
         std::array<double, N> rate{};
-        /// Per-point cap on total fires; 0 = unlimited.  (worker_death with
-        /// max_fires = 1 models "kill one worker during the run".)
+        /// Per-point cap on total fires; 0 = unlimited.
         std::array<std::uint64_t, N> max_fires{};
     };
     /// Caller-owned poll counters, for a schedule that must replay per

@@ -320,8 +320,6 @@ constexpr Row kRows[] = {
      .label = "hits", .u64 = &S::fast_path_hits},
     {.key = "explainers", .kind = slices, .merge = by_name, .line = "fast-path",
      .slice = Slice::explainers},
-    {.key = "worker_respawns", .kind = counter, .merge = sum, .line = "faults",
-     .label = "worker-respawns", .u64 = &S::worker_respawns},
     {.key = "worker_stalls", .kind = counter, .merge = sum, .line = "faults",
      .label = "worker-stalls", .u64 = &S::worker_stalls},
     // Read from the FaultInjector every shard shares.

@@ -184,8 +184,9 @@ struct ServiceStats {
     std::uint64_t cache_evictions = 0;
     std::uint64_t cache_entries = 0;
     std::array<std::uint64_t, kNumServeErrors> errors_by_reason{};
-    std::uint64_t worker_respawns = 0;  ///< dead dispatcher threads restarted
-    std::uint64_t worker_stalls = 0;    ///< watchdog heartbeat-staleness episodes
+    /// Dispatcher stall episodes: heartbeat older than kStallThreshold
+    /// (serve/service.hpp) while jobs were queued.
+    std::uint64_t worker_stalls = 0;
     std::uint64_t faults_injected = 0;
     std::uint64_t snapshot_writes = 0;  ///< cache snapshots persisted
     std::uint64_t snapshot_records_loaded = 0;

@@ -28,10 +28,9 @@ std::uint64_t fingerprint_model(const ml::Model& model) {
     try {
         std::ostringstream os;
         ml::save_model(model, os);
-        return hash_string(os.str(), 0xcbf29ce484222325ULL);
+        return hash_string(os.str());
     } catch (const std::exception&) {
-        return fnv1a_u64(model.num_features(),
-                         hash_string(model.name(), 0xcbf29ce484222325ULL));
+        return fnv1a_u64(model.num_features(), hash_string(model.name()));
     }
 }
 

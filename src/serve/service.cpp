@@ -5,6 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <unordered_map>
@@ -30,6 +31,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+/// How long the dispatcher pauses when the queue_stall fault fires.
+constexpr std::chrono::milliseconds kFaultStall{20};
+
 [[nodiscard]] std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
@@ -37,7 +41,7 @@ namespace {
 
 [[nodiscard]] std::uint64_t background_fingerprint(const xai::BackgroundData& bg) {
     const auto data = bg.samples().data();
-    std::uint64_t h = fnv1a_u64(bg.samples().cols(), 0xcbf29ce484222325ULL);
+    std::uint64_t h = fnv1a_u64(bg.samples().cols());
     for (const double v : data)
         h = fnv1a_u64(std::bit_cast<std::uint64_t>(v), h);
     return h;
@@ -174,10 +178,9 @@ ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
     // tree_shap kernel variant tag, and the IG step count.  Probe methods
     // keep a zero component, so their keys are byte-for-byte what this
     // service has always produced.
-    explainer_config_fp_[explainer_index("tree_shap")] =
-        hash_string("flat_tree_shap_v1", 0xcbf29ce484222325ULL);
-    explainer_config_fp_[explainer_index("integrated_gradients")] = fnv1a_u64(
-        config_.ig_steps, hash_string("ig_steps", 0xcbf29ce484222325ULL));
+    explainer_config_fp_[explainer_index("tree_shap")] = hash_string("flat_tree_shap_v1");
+    explainer_config_fp_[explainer_index("integrated_gradients")] =
+        fnv1a_u64(config_.ig_steps, hash_string("ig_steps"));
     // The constructor's model becomes the default (first-loaded) entry; any
     // configured extra models follow, in order.  The registry wires each
     // entry's DWRR class config into the queue as it is created.
@@ -196,7 +199,8 @@ ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
     if (!config_.snapshot_path.empty()) load_snapshot();
     heartbeat();
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
-    watchdog_ = std::thread([this] { watchdog_loop(); });
+    if (!config_.snapshot_path.empty() && config_.snapshot_interval.count() > 0)
+        snapshotter_ = std::jthread([this](std::stop_token stop) { snapshot_loop(stop); });
 }
 
 ServeError ExplanationService::model_load(const std::string& name,
@@ -228,19 +232,14 @@ ExplanationService::~ExplanationService() { stop(); }
 
 void ExplanationService::stop() {
     std::call_once(stop_once_, [this] {
-        stopping_.store(true, std::memory_order_release);
-        stop_wait_cv_.notify_all();
+        // The dispatcher returns only once the queue is closed and empty, so
+        // every accepted request is answered before the join completes.
         queue_.close();
-        // Join the watchdog first so it cannot respawn a dispatcher we are
-        // about to join.
-        if (watchdog_.joinable()) watchdog_.join();
-        {
-            std::lock_guard lock(dispatcher_mutex_);
-            if (dispatcher_.joinable()) dispatcher_.join();
+        dispatcher_.join();
+        if (snapshotter_.joinable()) {
+            snapshotter_.request_stop();
+            snapshotter_.join();
         }
-        // If the dispatcher died to a fault with work still queued, serve
-        // the stragglers on this thread — stop() never drops a completion.
-        drain_inline();
         if (!config_.snapshot_path.empty()) save_snapshot();
     });
 }
@@ -248,6 +247,17 @@ void ExplanationService::stop() {
 void ExplanationService::heartbeat() noexcept {
     heartbeat_ns_.store(Clock::now().time_since_epoch().count(),
                         std::memory_order_relaxed);
+}
+
+void ExplanationService::note_stall(Clock::time_point now) const noexcept {
+    const Clock::rep beat = heartbeat_ns_.load(std::memory_order_relaxed);
+    if (now - Clock::time_point(Clock::duration(beat)) <= kStallThreshold ||
+        queue_.size() == 0)
+        return;
+    Clock::rep counted = stalled_heartbeat_ns_.load(std::memory_order_relaxed);
+    if (counted != beat && stalled_heartbeat_ns_.compare_exchange_strong(
+                               counted, beat, std::memory_order_relaxed))
+        metrics_.inc(&ServiceStats::worker_stalls);
 }
 
 ServeError ExplanationService::prepare_job(ExplainRequest request, Job& job) {
@@ -303,6 +313,7 @@ ServeError ExplanationService::submit_async(
     Job job;
     ServeError reject = prepare_job(std::move(request), job);
     const std::shared_ptr<ModelEntry> entry = job.model_entry;
+    const Clock::time_point admitted_at = job.enqueued_at;
     if (reject == ServeError::none) {
         job.on_complete = std::move(on_complete);
         reject = queue_.try_push(std::move(job));
@@ -319,6 +330,7 @@ ServeError ExplanationService::submit_async(
     entry->admitted.inc();
     metrics_.inc(&ServiceStats::requests_accepted);
     metrics_.queue_depth.set(queue_.size());
+    note_stall(admitted_at);
     return ServeError::none;
 }
 
@@ -337,76 +349,38 @@ ExplainResponse ExplanationService::explain_sync(ExplainRequest request) {
 }
 
 void ExplanationService::dispatcher_loop() {
-    FaultInjector* const inj = config_.fault_injector.get();
     for (;;) {
         heartbeat();
-        if (fault_fires(inj, FaultPoint::worker_death)) {
-            // Simulated crash: exit without draining.  The watchdog notices
-            // and respawns; queued jobs survive in the queue.
-            dispatcher_exited_.store(true, std::memory_order_release);
-            return;
-        }
-        if (fault_fires(inj, FaultPoint::queue_stall))
-            std::this_thread::sleep_for(config_.fault_stall);
+        if (fault_fires(config_.fault_injector.get(), FaultPoint::queue_stall))
+            std::this_thread::sleep_for(kFaultStall);
+        // Read before the pop: an empty pop that began on a closed queue
+        // proves it closed *and* drained, while a pop that timed out just
+        // before a push and close() proves nothing.
+        const bool closed = queue_.closed();
         // Work-conserving: block only until the first job, then run it with
-        // everything already queued behind it.  The periodic wake-up notices
-        // shutdown.
+        // everything already queued behind it.  The periodic wake-up keeps
+        // the heartbeat fresh while idle.
         std::vector<Job> batch = queue_.pop_batch(
             Clock::now() + std::chrono::milliseconds(50), config_.max_batch);
         if (!batch.empty()) {
             metrics_.queue_depth.set(queue_.size());
             execute_batch(std::move(batch));
-        } else if (queue_.closed()) {
-            return;  // drained; stop() serves any straggler inline
+        } else if (closed) {
+            return;
         }
     }
 }
 
-void ExplanationService::watchdog_loop() {
-    bool stalled = false;
-    auto last_snapshot = Clock::now();
+void ExplanationService::snapshot_loop(std::stop_token stop) {
+    // Its own thread, not the dispatcher's: exporting and writing a full
+    // cache takes milliseconds, and every queued request would wait for it.
+    std::mutex mutex;
+    std::condition_variable_any wake;  // woken early only by request_stop()
+    std::unique_lock lock(mutex);
     for (;;) {
-        {
-            std::unique_lock lock(stop_wait_mutex_);
-            stop_wait_cv_.wait_for(lock, config_.watchdog_interval, [this] {
-                return stopping_.load(std::memory_order_acquire);
-            });
-        }
-        if (stopping_.load(std::memory_order_acquire)) return;
-
-        // Respawn a dispatcher the worker_death fault killed.
-        if (dispatcher_exited_.load(std::memory_order_acquire)) {
-            std::lock_guard lock(dispatcher_mutex_);
-            if (dispatcher_.joinable()) dispatcher_.join();
-            dispatcher_exited_.store(false, std::memory_order_release);
-            heartbeat();
-            dispatcher_ = std::thread([this] { dispatcher_loop(); });
-            metrics_.inc(&ServiceStats::worker_respawns);
-        }
-
-        // Stall detection: a stale heartbeat while work is waiting.  A stuck
-        // thread cannot be safely killed, so stalls are counted (one per
-        // episode) for the operator, not "fixed".
-        const auto hb = Clock::time_point(
-            Clock::duration(heartbeat_ns_.load(std::memory_order_relaxed)));
-        const bool stale =
-            queue_.size() > 0 && Clock::now() - hb > config_.watchdog_stall_threshold;
-        if (stale && !stalled) metrics_.inc(&ServiceStats::worker_stalls);
-        stalled = stale;
-
-        if (!config_.snapshot_path.empty() && config_.snapshot_interval.count() > 0 &&
-            Clock::now() - last_snapshot >= config_.snapshot_interval) {
-            save_snapshot();
-            last_snapshot = Clock::now();
-        }
-    }
-}
-
-void ExplanationService::drain_inline() {
-    for (;;) {
-        std::vector<Job> batch = queue_.pop_batch(Clock::now(), config_.max_batch);
-        if (batch.empty()) return;
-        execute_batch(std::move(batch));
+        wake.wait_for(lock, stop, config_.snapshot_interval, [] { return false; });
+        if (stop.stop_requested()) return;
+        save_snapshot();
     }
 }
 
@@ -583,11 +557,7 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     metrics_.inc(&ServiceStats::batches);
     metrics_.batch_size.record(batch.size());
 
-    // One clock read per batch; the clock_skew fault jumps it forward, which
-    // can only expire deadlines early — never extend them.
-    Clock::time_point batch_now = Clock::now();
-    if (fault_fires(config_.fault_injector.get(), FaultPoint::clock_skew))
-        batch_now += config_.fault_clock_skew;
+    const Clock::time_point batch_now = Clock::now();  // one clock read per batch
     const double p99 = metrics_.service_time_us.quantile(0.99);
 
     // Phase 1 — deadline triage, degradation classification, and the cache
@@ -837,6 +807,7 @@ void ExplanationService::save_snapshot() {
 }
 
 ServiceStats ExplanationService::stats() const {
+    note_stall(Clock::now());
     ServiceStats s = metrics_.snapshot();
     s.faults_injected =
         config_.fault_injector ? config_.fault_injector->total_fired() : 0;

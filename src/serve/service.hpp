@@ -27,17 +27,21 @@
 // deadline (expired requests are answered deadline_exceeded, with a
 // cooperative CancelToken aborting in-flight compute); overload steps
 // requests down a degradation ladder instead of rejecting them
-// (serve/degradation.hpp); a watchdog thread respawns a dead dispatcher and
-// periodically persists the cache to a crash-safe snapshot
-// (serve/snapshot.hpp); and a deterministic FaultInjector
-// (serve/fault_injector.hpp) can be wired in to chaos-test all of the
-// above.
+// (serve/degradation.hpp); a dispatcher stuck for over a second while jobs
+// wait is counted as a stall (`worker_stalls`) at admission and at stats();
+// the cache persists to a crash-safe snapshot (serve/snapshot.hpp) at stop()
+// and, when an interval is set, from a snapshot thread; and a deterministic
+// FaultInjector (serve/fault_injector.hpp) can be wired in to chaos-test all
+// of the above.
+//
+// Threads: the dispatcher, plus the snapshot thread only when periodic
+// snapshots are configured.  Batches fan out over the process-wide pool
+// (core/parallel.hpp).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -109,6 +113,11 @@ struct ModelSpec {
     std::size_t quota = 0;   ///< per-model admission quota; 0 = uncapped
 };
 
+/// A dispatcher heartbeat older than this while jobs are queued is a stall
+/// (`worker_stalls`).  A stuck thread cannot be safely killed, so stalls
+/// are counted for the operator, not "fixed".
+inline constexpr std::chrono::milliseconds kStallThreshold{1000};
+
 struct ServiceConfig {
     /// Default explainer method for requests that leave `method` empty.
     /// May be "auto": each request then routes per the pinned snapshot's
@@ -164,14 +173,11 @@ struct ServiceConfig {
     /// Chaos-testing seam: null (the default) injects nothing and costs one
     /// pointer check per poll point.
     std::shared_ptr<FaultInjector> fault_injector;
-    /// How far the dispatcher clock jumps when clock_skew fires.
-    std::chrono::milliseconds fault_clock_skew{50};
-    /// How long the dispatcher pauses when queue_stall fires.
-    std::chrono::milliseconds fault_stall{20};
 
     /// Cache snapshot file; empty disables persistence.  When set, the cache
     /// is restored from it at startup (if compatible) and written to it at
-    /// stop() — plus every snapshot_interval if nonzero.  This is the path
+    /// stop() — plus every snapshot_interval if nonzero, from a thread of
+    /// its own so no queued request waits behind the write.  This is the path
     /// of the *default* model's snapshot; every other model persists to
     /// `<path>.<fingerprint-hex><snapshot_suffix>` so multi-model snapshots
     /// can never collide or cross-restore (a file whose header fingerprint
@@ -190,11 +196,6 @@ struct ServiceConfig {
     /// Additional models registered before serving starts (same effect as
     /// model_load() calls, minus the race with early traffic).
     std::vector<ModelSpec> extra_models;
-
-    /// Watchdog poll period, and the heartbeat staleness beyond which the
-    /// dispatcher counts as stalled.
-    std::chrono::milliseconds watchdog_interval{20};
-    std::chrono::milliseconds watchdog_stall_threshold{1000};
 };
 
 /// The in-process serving engine.  Thread-safe: any number of producer
@@ -230,7 +231,7 @@ public:
 
     /// Push-style submission for event-driven callers (the TCP front-end):
     /// on acceptance, `on_complete` is invoked exactly once with the
-    /// response — on the dispatcher (or drain) thread, in admission order —
+    /// response — on the dispatcher thread, in admission order —
     /// and no future is involved.  On rejection the returned error is
     /// non-none and `on_complete` is never called (the caller already has
     /// everything needed to answer synchronously).  `on_complete` must not
@@ -263,7 +264,8 @@ public:
 
     [[nodiscard]] const ModelRegistry& registry() const noexcept { return registry_; }
 
-    /// Snapshot of all counters/histograms plus cache occupancy.
+    /// Snapshot of all counters/histograms plus cache occupancy.  Counts a
+    /// dispatcher stall first, if one is under way (see note_stall()).
     [[nodiscard]] ServiceStats stats() const;
 
     /// The recorders behind stats().  A TCP front-end records its
@@ -276,9 +278,10 @@ public:
     /// facts (models, fingerprints, cache contents, epochs) are untouched.
     void stats_reset() noexcept { metrics_.reset(); }
 
-    /// Closes admission, drains and serves everything already queued, joins
-    /// the watchdog and dispatcher, and writes a final cache snapshot when
-    /// persistence is configured.  Idempotent; the destructor calls it.
+    /// Closes admission, joins the dispatcher once it has served everything
+    /// already queued, joins the snapshot thread, and writes a final cache
+    /// snapshot when persistence is configured.  Idempotent; the destructor
+    /// calls it.
     void stop();
 
     [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
@@ -295,11 +298,9 @@ public:
 
 private:
     void dispatcher_loop();
-    void watchdog_loop();
+    /// Writes a snapshot every snapshot_interval until stop() asks it to end.
+    void snapshot_loop(std::stop_token stop);
     void execute_batch(std::vector<Job> batch);
-    /// Drains whatever is left in the queue on the calling thread — the
-    /// shutdown path after both worker threads have been joined.
-    void drain_inline();
     /// Validation/resolution for submit_async(): resolves the model name,
     /// validates the payload, and stamps `job` (entry, pinned snapshot,
     /// class, timestamps).  Non-none = reject.
@@ -355,6 +356,11 @@ private:
     void load_snapshot();
     /// Stamps the dispatcher heartbeat with the current time.
     void heartbeat() noexcept;
+    /// Counts a stall when, at `now`, the dispatcher heartbeat is older than
+    /// kStallThreshold while jobs are queued.  Each stale heartbeat value
+    /// counts once, however often it is seen.  Takes no lock unless the
+    /// heartbeat is already stale.
+    void note_stall(std::chrono::steady_clock::time_point now) const noexcept;
 
     xnfv::xai::BackgroundData background_;
     ServiceConfig config_;
@@ -379,17 +385,12 @@ private:
         std::shared_ptr<const std::vector<xnfv::xai::InteractionPair>>>
         interaction_tables_;
 
-    std::thread dispatcher_;
-    std::thread watchdog_;
-    /// Guards dispatcher_ (the watchdog joins/respawns it while stop() may
-    /// also want to join it).
-    std::mutex dispatcher_mutex_;
-    std::atomic<bool> dispatcher_exited_{false};  ///< set only by worker_death
     std::atomic<std::chrono::steady_clock::rep> heartbeat_ns_{0};
-    std::atomic<bool> stopping_{false};
-    std::mutex stop_wait_mutex_;
-    std::condition_variable stop_wait_cv_;  ///< wakes the watchdog at stop()
+    /// The heartbeat value of the last stall counted (one count per episode).
+    mutable std::atomic<std::chrono::steady_clock::rep> stalled_heartbeat_ns_{0};
     std::once_flag stop_once_;
+    std::thread dispatcher_;
+    std::jthread snapshotter_;  ///< runs only with a snapshot_interval
 };
 
 }  // namespace xnfv::serve

@@ -612,8 +612,8 @@ TEST(ShardedStats, StatsKeysKeepTheirWireOrderOnEveryServer) {
         "cache_hit_rate", "cache_evictions", "cache_epoch", "drift_checks",
         "drift_flushes", "service_us_p50", "service_us_p95",
         "service_us_p99", "model_evals", "probe_rows_p50", "probe_rows_mean",
-        "probe_rows_max", "fast_path_hits", "explainers", "worker_respawns",
-        "worker_stalls", "faults_injected", "snapshot_writes", "snapshot_records_loaded",
+        "probe_rows_max", "fast_path_hits", "explainers", "worker_stalls",
+        "faults_injected", "snapshot_writes", "snapshot_records_loaded",
         "snapshot_records_skipped"};
     const std::vector<std::string> net_keys{
         "net_shards", "connections_accepted", "connections_active",

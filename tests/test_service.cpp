@@ -8,7 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "core/interaction.hpp"
+#include "core/parallel.hpp"
 #include "serve/explanation_cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/ndjson.hpp"
@@ -157,6 +161,14 @@ TEST(CacheKey, QuantizedModeBucketsNearbyValues) {
     const serve::CacheKey far = make_key({1.02, 2.0}, 0.01, 1);
     EXPECT_TRUE(a == b);
     EXPECT_FALSE(a == far);
+}
+
+TEST(Fnv1a, MatchesPublishedVectors) {
+    // Cache keys, model fingerprints, snapshot headers and fault draws are
+    // all built from this hash, so it must never drift from FNV-1a 64.
+    EXPECT_EQ(serve::hash_string(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(serve::hash_string("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(serve::hash_string("foobar"), 0x85944171f73967e8ULL);
 }
 
 TEST(ExplanationCache, ShardsSpreadAndStillEvictPerShard) {
@@ -637,6 +649,51 @@ TEST(ExplanationService, SubmitAsyncRejectsWithoutInvokingCallback) {
               serve::ServeError::deadline_exceeded);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_EQ(calls.load(), 0);
+}
+
+// -------------------------------------------------------------- threads ---
+
+namespace {
+
+/// Threads of this process, counted in /proc/self/task.
+std::size_t thread_count() {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+/// thread_count() once it equals `want`, or after 5 s of polling: a joined
+/// thread can linger in /proc for a moment after join() returns.
+std::size_t settled_thread_count(std::size_t want) {
+    const auto give_up = Clock::now() + std::chrono::seconds(5);
+    std::size_t n = thread_count();
+    while (n != want && Clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        n = thread_count();
+    }
+    return n;
+}
+
+}  // namespace
+
+TEST(ExplanationService, RunsOneThreadPlusOneForPeriodicSnapshots) {
+    (void)xnfv::detail::shared_pool();  // start the lazy pool so it does not count
+    const std::size_t base = thread_count();
+    {
+        serve::ExplanationService service(sum_model(), tiny_background());
+        EXPECT_EQ(thread_count(), base + 1);  // the dispatcher
+        service.stop();
+        EXPECT_EQ(settled_thread_count(base), base);
+    }
+    serve::ServiceConfig cfg;
+    cfg.snapshot_path = ::testing::TempDir() + "xnfv_service_threads.bin";
+    cfg.snapshot_interval = std::chrono::milliseconds(1000);
+    {
+        serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+        EXPECT_EQ(thread_count(), base + 2);  // the dispatcher and the snapshot thread
+        service.stop();
+        EXPECT_EQ(settled_thread_count(base), base);
+    }
+    std::remove(cfg.snapshot_path.c_str());
 }
 
 // ----------------------------------- drift-triggered cache invalidation ---

@@ -312,7 +312,7 @@ TEST(ServicePersistence, IncompatibleModelStartsColdNotWrong) {
     std::remove(path.c_str());
 }
 
-TEST(ServicePersistence, PeriodicSnapshotsWrittenByWatchdog) {
+TEST(ServicePersistence, PeriodicSnapshotsWrittenBySnapshotThread) {
     const auto path = temp_path("service_periodic.bin");
     std::remove(path.c_str());
 
@@ -320,10 +320,9 @@ TEST(ServicePersistence, PeriodicSnapshotsWrittenByWatchdog) {
     cfg.method = "occlusion";
     cfg.snapshot_path = path;
     cfg.snapshot_interval = std::chrono::milliseconds(5);
-    cfg.watchdog_interval = std::chrono::milliseconds(2);
     serve::ExplanationService service(sum_model(), tiny_background(), cfg);
     ASSERT_TRUE(service.explain_sync(request_for(1, {1.0, 2.0, 3.0})).ok);
-    // The watchdog must write at least one snapshot without stop().
+    // The snapshot thread must write at least one snapshot without stop().
     for (int spin = 0; spin < 2000 && service.stats().snapshot_writes == 0; ++spin)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_GE(service.stats().snapshot_writes, 1u);

@@ -130,10 +130,11 @@ int usage() {
         "            [--degrade N] [--degrade-scale S]   overload ladder: at\n"
         "            admission depth N serve reduced budget, at 2N occlusion\n"
         "            [--snapshot FILE] [--snapshot-interval-ms M]   crash-safe\n"
-        "            cache persistence (restored on startup, written on stop)\n"
+        "            cache persistence (restored on startup, written on stop,\n"
+        "            and every M ms from a snapshot thread when M > 0)\n"
         "            [--fault-seed S] [--fault-predict-rate R]\n"
-        "            [--fault-stall-rate R] [--fault-worker-kill N]\n"
-        "            deterministic chaos injection for fault-tolerance tests\n"
+        "            [--fault-stall-rate R]   deterministic chaos injection\n"
+        "            for fault-tolerance tests\n"
         "            [--drift-window N]   drift-triggered cache invalidation\n"
         "            [--interaction-points N]   background rows sampled per\n"
         "            Friedman-H2 pair for \"interactions\" requests\n"
@@ -432,18 +433,12 @@ int cmd_serve(const Args& args) {
     // Deterministic chaos: any nonzero rate wires in a seeded injector.
     const double fault_predict = std::stod(args.get("fault-predict-rate", "0"));
     const double fault_stall = std::stod(args.get("fault-stall-rate", "0"));
-    const auto fault_kill = args.get_int("fault-worker-kill", 0);
-    if (fault_predict > 0.0 || fault_stall > 0.0 || fault_kill > 0) {
+    if (fault_predict > 0.0 || fault_stall > 0.0) {
         serve::FaultInjector::Config fi;
         fi.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
         const auto point = [](serve::FaultPoint p) { return static_cast<std::size_t>(p); };
         fi.rate[point(serve::FaultPoint::predict_throw)] = fault_predict;
         fi.rate[point(serve::FaultPoint::queue_stall)] = fault_stall;
-        if (fault_kill > 0) {
-            fi.rate[point(serve::FaultPoint::worker_death)] = 1.0;
-            fi.max_fires[point(serve::FaultPoint::worker_death)] =
-                static_cast<std::uint64_t>(fault_kill);
-        }
         cfg.fault_injector = std::make_shared<serve::FaultInjector>(fi);
     }
 
