@@ -11,18 +11,14 @@
 //     round-trip is compared to the baseline under a generous delta gate
 //     (chaos is allowed to cost latency, not correctness, and the gate only
 //     catches order-of-magnitude regressions like a stuck retry loop);
-//   * transport-killing classes (rst_close, shard_death) run the loadgen's
-//     safe-retry mode — the gate is exactly-once completion, and for
-//     shard_death additionally the supervisor's recovery time (fault fired
-//     -> shard respawned, sampled at 1ms) under a bound of several
-//     heartbeat intervals.
+//   * the transport-killing class (rst_close) runs the loadgen's safe-retry
+//     mode — the gate is exactly-once completion.
 //
 // Output: a fixed-format table and a JSON artifact (default
 // BENCH_s4_resilience.json, overridable via argv[1]) for CI to archive.
 // Sizes are overridable through XNFV_RESIL_REQUESTS (per connection,
 // chunking classes) and XNFV_RESIL_WINDOW.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -85,16 +81,14 @@ struct ClassResult {
     std::uint64_t faults = 0;
     std::uint64_t retries = 0;
     std::uint64_t reconnects = 0;
-    std::uint64_t respawns = 0;
-    double recovery_ms = -1.0;  ///< shard_death only; -1 = not measured
-    bool clean = false;         ///< every stream completed without error
+    bool clean = false;  ///< every stream completed without error
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
     bench::print_header(
-        "S4", "resilience: p99 and recovery per injected socket-fault class");
+        "S4", "resilience: p99 and completion per injected socket-fault class");
 
     const std::size_t conns = 16;
     const std::size_t per_conn = env_size("XNFV_RESIL_REQUESTS", 200);
@@ -115,15 +109,13 @@ int main(int argc, char** argv) {
         {"eintr_storm", net::NetFaultPoint::eintr_storm, 0.30, 0, false},
         {"stalled_read", net::NetFaultPoint::stalled_read, 0.30, 0, false},
         {"rst_close", net::NetFaultPoint::rst_close, 1.0, 4, true},
-        {"shard_death", net::NetFaultPoint::shard_death, 1.0, 1, true},
     };
 
     std::printf("\nmethod=tree_shap  shards=2  conns=%zu  window=%zu  "
                 "(round-trip us)\n",
                 conns, window);
-    std::printf("%-14s %9s %9s %9s %8s %8s %8s %9s %6s\n", "fault", "req/s",
-                "p50us", "p99us", "fired", "retries", "reconn", "recov_ms",
-                "clean");
+    std::printf("%-14s %9s %9s %9s %8s %8s %8s %6s\n", "fault", "req/s", "p50us",
+                "p99us", "fired", "retries", "reconn", "clean");
     bench::print_rule();
 
     bench::JsonArtifact artifact("tcp_serving_resilience");
@@ -153,7 +145,6 @@ int main(int argc, char** argv) {
         net::ShardedServerConfig shcfg;
         shcfg.shards = 2;
         shcfg.net.max_connections = conns + 64;
-        shcfg.heartbeat_interval = std::chrono::milliseconds(50);
         net::NetFaultInjector::Config nf;
         nf.seed = 0x5e4f;
         nf.rate[static_cast<std::size_t>(spec.point)] = spec.rate;
@@ -187,31 +178,6 @@ int main(int argc, char** argv) {
                 }
             }
 
-        // For shard_death, a 1ms sampler turns (fault fired -> respawn
-        // observed) into a recovery-time measurement.
-        std::atomic<bool> sampling{spec.point == net::NetFaultPoint::shard_death};
-        std::atomic<double> recovery_ms{-1.0};
-        std::thread sampler;
-        if (sampling.load()) {
-            sampler = std::thread([&] {
-                using Clock = std::chrono::steady_clock;
-                Clock::time_point died{};
-                while (sampling.load(std::memory_order_relaxed)) {
-                    if (died == Clock::time_point{} &&
-                        chaos->fired(net::NetFaultPoint::shard_death) > 0)
-                        died = Clock::now();
-                    if (died != Clock::time_point{} && server.shard_respawns() > 0) {
-                        recovery_ms.store(
-                            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                                      died)
-                                .count());
-                        return;
-                    }
-                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                }
-            });
-        }
-
         net::LoadgenConfig lg;
         lg.port = server.port();
         lg.window = window;
@@ -229,23 +195,12 @@ int main(int argc, char** argv) {
         const auto report = net::run_load(lg, scripts);
         const double elapsed_ms = watch.ms();
 
-        if (sampler.joinable()) {
-            // Give the supervisor a beat to finish a respawn still in
-            // flight, then stop sampling either way.
-            for (int i = 0; i < 2000 && recovery_ms.load() < 0.0; ++i)
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            sampling.store(false);
-            sampler.join();
-        }
-
-        ClassResult res;
-        res.respawns = server.shard_respawns();
         server.request_drain();
         loop.join();
         server.stop_services();
 
+        ClassResult res;
         res.faults = chaos->total_fired();
-        res.recovery_ms = recovery_ms.load();
         res.clean = !report.timed_out;
         std::vector<double> merged;
         for (const auto& conn : report.conns) {
@@ -270,38 +225,31 @@ int main(int argc, char** argv) {
         // Gates.  Chunking classes: clean completion and a generous p99
         // delta vs baseline (100x with a 50ms floor — catches lockups, not
         // honest fault-induced latency).  Retry classes: exactly-once
-        // completion; shard_death additionally one respawn recovered within
-        // 5s (100 heartbeat intervals — CI machines stall).
+        // completion.
         bool class_ok = res.clean;
         if (!spec.retry_mode && baseline_p99 > 0.0)
             class_ok = class_ok &&
                        res.p99_us <= std::max(50000.0, 100.0 * baseline_p99);
-        if (spec.point == net::NetFaultPoint::shard_death) {
-            class_ok = class_ok && res.respawns == 1 && res.recovery_ms >= 0.0 &&
-                       res.recovery_ms <= 5000.0;
-        }
         pass = pass && class_ok;
 
-        std::printf("%-14s %9.0f %9.1f %9.1f %8llu %8llu %8llu %9.1f %6s\n",
-                    spec.name, res.req_per_sec, res.p50_us, res.p99_us,
+        std::printf("%-14s %9.0f %9.1f %9.1f %8llu %8llu %8llu %6s\n", spec.name,
+                    res.req_per_sec, res.p50_us, res.p99_us,
                     static_cast<unsigned long long>(res.faults),
                     static_cast<unsigned long long>(res.retries),
                     static_cast<unsigned long long>(res.reconnects),
-                    res.recovery_ms, class_ok ? "yes" : "NO");
+                    class_ok ? "yes" : "NO");
 
         char obj[420];
         std::snprintf(
             obj, sizeof(obj),
             "{\"fault\": \"%s\", \"req_per_sec\": %.1f, \"p50_us\": %.1f, "
             "\"p99_us\": %.1f, \"answered\": %llu, \"faults_fired\": %llu, "
-            "\"retries\": %llu, \"reconnects\": %llu, \"respawns\": %llu, "
-            "\"recovery_ms\": %.1f, \"clean\": %s}",
+            "\"retries\": %llu, \"reconnects\": %llu, \"clean\": %s}",
             spec.name, res.req_per_sec, res.p50_us, res.p99_us,
             static_cast<unsigned long long>(res.answered),
             static_cast<unsigned long long>(res.faults),
             static_cast<unsigned long long>(res.retries),
             static_cast<unsigned long long>(res.reconnects),
-            static_cast<unsigned long long>(res.respawns), res.recovery_ms,
             res.clean ? "true" : "false");
         artifact.add_object(obj);
     }

@@ -3,8 +3,8 @@
 // The serve-layer FaultInjector (serve/fault_injector.hpp) chaos-tests the
 // *compute* path; this injector runs the same seeded schedule over the
 // *network* path's failure points: short sends, torn reads, synthetic EINTR
-// storms, withheld reads, RST aborts, and shard thread death.  A null
-// injector costs one pointer check per I/O call.
+// storms, withheld reads, and RST aborts.  A null injector costs one pointer
+// check per I/O call.
 //
 // Determinism contract, mirroring PR 3's chaos-replay pin: each connection
 // carries its own poll counters (NetFaultCounters), so the k-th I/O poll of
@@ -13,9 +13,7 @@
 // and wall-clock time.  The chunking faults (partial_write / torn_read /
 // eintr_storm / stalled_read) only reshape *when* bytes move, never *which*
 // bytes, so every response stream is byte-identical to a fault-free run;
-// rst_close and shard_death kill transport, which retries + the shard
-// supervisor absorb.  shard_death polls on the injector-global counter so a
-// max_fires cap means "kill N shards during the run", fleet-wide.
+// rst_close kills transport, which client retries absorb.
 #pragma once
 
 #include <cstddef>
@@ -32,10 +30,9 @@ enum class NetFaultPoint : std::uint8_t {
     eintr_storm,        ///< synthetic EINTR before the syscall; retry loops
     stalled_read,       ///< readable bytes withheld one round (slow peer)
     rst_close,          ///< connection aborted with SO_LINGER(0): peer sees RST
-    shard_death,        ///< the shard's event loop stops; supervisor respawns
 };
 
-inline constexpr std::size_t kNumNetFaultPoints = 6;
+inline constexpr std::size_t kNumNetFaultPoints = 5;
 
 [[nodiscard]] constexpr const char* to_string(NetFaultPoint point) noexcept {
     switch (point) {
@@ -44,14 +41,14 @@ inline constexpr std::size_t kNumNetFaultPoints = 6;
         case NetFaultPoint::eintr_storm: return "eintr_storm";
         case NetFaultPoint::stalled_read: return "stalled_read";
         case NetFaultPoint::rst_close: return "rst_close";
-        case NetFaultPoint::shard_death: return "shard_death";
     }
     return "unknown";
 }
 
 /// Seeded, counter-driven socket fault schedule (serve::FaultSchedule); a
 /// default (zero-rate) injector never fires.  max_fires caps are
-/// fleet-wide: shard_death with max_fires = 1 models "kill one shard".
+/// fleet-wide: rst_close with max_fires = 3 models "abort three
+/// connections".
 using NetFaultInjector = serve::FaultSchedule<NetFaultPoint, kNumNetFaultPoints>;
 
 /// Per-stream poll counters.  Every Connection owns one, giving it a fault
@@ -59,11 +56,10 @@ using NetFaultInjector = serve::FaultSchedule<NetFaultPoint, kNumNetFaultPoints>
 /// the connection's shard thread — no atomics needed.
 using NetFaultCounters = NetFaultInjector::Polls;
 
-/// Null-safe poll, against a connection's own counters when given (I/O
-/// points) and the injector-global counter otherwise (shard_death).
+/// Null-safe poll of a point against a connection's own counters.
 [[nodiscard]] inline bool net_fault_fires(NetFaultInjector* injector, NetFaultPoint point,
-                                          NetFaultCounters* local = nullptr) noexcept {
-    return injector != nullptr && injector->should_fire(point, local);
+                                          NetFaultCounters& local) noexcept {
+    return injector != nullptr && injector->should_fire(point, &local);
 }
 
 }  // namespace xnfv::net

@@ -30,13 +30,13 @@ IoStatus Connection::read_some(std::vector<serve::Frame>& frames) {
         // reshape *when* bytes arrive, never *which* bytes — responses stay
         // byte-identical to a fault-free run.  stalled_read relies on
         // level-triggered epoll to re-deliver the readable event.
-        if (net_fault_fires(chaos, NetFaultPoint::stalled_read, &fault_counters))
+        if (net_fault_fires(chaos, NetFaultPoint::stalled_read, fault_counters))
             return IoStatus::ok;
         std::size_t want = chunk.size();
-        if (net_fault_fires(chaos, NetFaultPoint::torn_read, &fault_counters))
+        if (net_fault_fires(chaos, NetFaultPoint::torn_read, fault_counters))
             want = 3;
         ssize_t n;
-        if (net_fault_fires(chaos, NetFaultPoint::eintr_storm, &fault_counters)) {
+        if (net_fault_fires(chaos, NetFaultPoint::eintr_storm, fault_counters)) {
             errno = EINTR;
             n = -1;
         } else {
@@ -67,12 +67,12 @@ IoStatus Connection::flush() {
         bool short_send = false;
         // partial_write moves one byte, then reports a full kernel buffer so
         // the server exercises its EPOLLOUT backpressure path.
-        if (net_fault_fires(chaos, NetFaultPoint::partial_write, &fault_counters)) {
+        if (net_fault_fires(chaos, NetFaultPoint::partial_write, fault_counters)) {
             len = 1;
             short_send = true;
         }
         ssize_t n;
-        if (net_fault_fires(chaos, NetFaultPoint::eintr_storm, &fault_counters)) {
+        if (net_fault_fires(chaos, NetFaultPoint::eintr_storm, fault_counters)) {
             errno = EINTR;
             n = -1;
         } else {

@@ -12,6 +12,12 @@ namespace xnfv::net {
 
 namespace {
 
+/// How long a drain lingers after half-closing each connection, waiting for
+/// the peer to read its final responses and close.  Closing outright would
+/// RST past unread request bytes and could destroy responses still queued in
+/// the peer's kernel buffer.  Bounds SIGTERM exit time.
+constexpr std::chrono::milliseconds kDrainLinger{5000};
+
 /// Error responses reuse the exact rendering the stdin loop produces through
 /// render_response, so a TCP client sees the same bytes for the same fault.
 std::string render_error_line(std::uint64_t id, serve::ServeError code,
@@ -82,10 +88,6 @@ void ExplanationServer::run() {
         loop_.remove(listener_.fd());
         listener_.close();
     }
-    // Publishes "every socket is closed and every budget slot released" to
-    // the shard supervisor; on a shard_death fault this is what makes the
-    // respawn safe to start.
-    finished_.store(true, std::memory_order_release);
 }
 
 void ExplanationServer::request_drain() noexcept {
@@ -135,7 +137,7 @@ void ExplanationServer::on_conn_event(std::uint64_t conn_id, std::uint32_t event
     // Chaos: abort this connection with an RST (SO_LINGER 0 turns the close
     // into a reset) — the client-retry path's hardest failure mode.
     if (!conn.lingering &&
-        net_fault_fires(conn.chaos, NetFaultPoint::rst_close, &conn.fault_counters)) {
+        net_fault_fires(conn.chaos, NetFaultPoint::rst_close, conn.fault_counters)) {
         const struct linger lg = {1, 0};
         ::setsockopt(conn.fd(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
         close_conn(conn);
@@ -183,14 +185,6 @@ void ExplanationServer::on_wake() {
 }
 
 void ExplanationServer::on_tick() {
-    // Chaos: shard death.  Stopping the loop makes run() tear down every
-    // connection and release every budget slot on its way out — exactly the
-    // crash the supervisor must recover from, minus undefined state.
-    if (!draining_ &&
-        net_fault_fires(config_.chaos.get(), NetFaultPoint::shard_death)) {
-        loop_.stop();
-        return;
-    }
     drain_completions();
     if (drain_requested_.load(std::memory_order_acquire) && !draining_)
         begin_drain();
@@ -455,7 +449,7 @@ void ExplanationServer::close_conn(Connection& conn) {
 
 void ExplanationServer::begin_drain() {
     draining_ = true;
-    drain_deadline_ = std::chrono::steady_clock::now() + config_.drain_linger;
+    drain_deadline_ = std::chrono::steady_clock::now() + kDrainLinger;
     if (listener_.listening()) {
         loop_.remove(listener_.fd());
         listener_.close();

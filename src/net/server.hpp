@@ -99,11 +99,6 @@ struct ServerConfig {
     std::chrono::milliseconds idle_timeout{0};
     /// Event-loop housekeeping period (idle scans, drain progress).
     std::chrono::milliseconds tick{20};
-    /// How long a drain lingers after half-closing each connection, waiting
-    /// for the peer to read its final responses and close.  Closing outright
-    /// would RST past unread request bytes and could destroy responses still
-    /// queued in the peer's kernel buffer.  Bounds SIGTERM exit time.
-    std::chrono::milliseconds drain_linger{5000};
     /// When > 0, shrink each accepted socket's kernel send buffer
     /// (SO_SNDBUF) — lets backpressure tests overflow the output cap
     /// deterministically with small payloads.
@@ -186,13 +181,6 @@ public:
     /// Service stats with the net section populated (net_enabled = true).
     [[nodiscard]] serve::ServiceStats stats() const;
 
-    /// True once run() has returned (loop stopped, sockets torn down, every
-    /// budget slot this server held released).  The supervisor's respawn
-    /// trigger: a finished server whose fleet is not draining died.
-    [[nodiscard]] bool finished() const noexcept {
-        return finished_.load(std::memory_order_acquire);
-    }
-
 private:
     /// One completed explanation travelling dispatcher -> loop thread.
     struct Completion {
@@ -203,8 +191,7 @@ private:
     /// Shared with submit_async callbacks so a completion arriving after the
     /// server object is gone lands in a detached (loop == nullptr) channel
     /// instead of freed memory.  The data path is the lock-free SPSC ring
-    /// (producer: the service's dispatcher — one thread at a time, respawns
-    /// and the stop()-time drain are join-sequenced; consumer: the loop
+    /// (producer: the service's dispatcher thread; consumer: the loop
     /// thread).  `notify_mutex` guards only the loop pointer for the rare
     /// detach race, never the payload, and `wake` coalesces a burst of
     /// completions into one eventfd write.
@@ -267,7 +254,6 @@ private:
     std::uint64_t next_conn_id_ = 1;
     std::shared_ptr<CompletionChannel> channel_;
     std::atomic<bool> drain_requested_{false};
-    std::atomic<bool> finished_{false};
     bool draining_ = false;
     std::chrono::steady_clock::time_point drain_deadline_{};
     /// The service's recorders; connection events are counted there.

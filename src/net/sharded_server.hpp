@@ -24,28 +24,20 @@
 //     reports the cross-shard aggregate.
 //
 // Lifecycle: construct (builds all shards' services), start() (binds all
-// listeners — shard 0 first to learn an ephemeral port), run() (spawns one
-// pinned thread per shard and supervises them until drained),
+// listeners — shard 0 first to learn an ephemeral port), run() (starts one
+// thread per shard, pinned when there is more than one, and joins them all),
 // request_drain() (async-signal-safe; run() returns once every shard has
 // flushed its in-flight work).
 //
-// Self-healing: while run() blocks, the calling thread doubles as the shard
-// supervisor.  Every `heartbeat_interval` it samples each shard: a server
-// whose run() has returned while the fleet is not draining is a dead shard
-// (its loop exit already closed its connections and released its
-// ConnectionBudget slots — the exact-budget invariant survives the crash).
-// The supervisor joins the dead thread, stops the old service (writing its
-// `.shardK` cache snapshot), rebuilds service + server from the retained
-// construction state (the new service reloads that snapshot), replays the
-// admin log so late-loaded tenants reappear, rebinds the reuseport
-// listener, and spawns a fresh thread — sibling shards keep serving
-// untouched.  A wedged-but-alive thread cannot be safely killed from
-// outside, so the supervisor leaves it alone; a shard whose dispatcher is
-// stuck while requests wait shows up in its service's `worker_stalls`.
+// Nothing respawns a shard.  Its loop returns only after a drain or when
+// its own epoll descriptor fails; in the latter case that shard closes its
+// connections and its listener and its thread ends, while its siblings keep
+// serving on the port.  Anything that escapes a shard thread ends the
+// process.  A shard whose dispatcher is stuck while requests wait shows up
+// in its service's `worker_stalls`.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -54,7 +46,6 @@
 #include <vector>
 
 #include "net/server.hpp"
-#include "serve/ndjson.hpp"
 #include "serve/service.hpp"
 
 namespace xnfv::net {
@@ -62,16 +53,13 @@ namespace xnfv::net {
 struct ShardedServerConfig {
     /// Per-shard front-end settings.  `max_connections` is the FLEET limit
     /// (enforced via one shared budget); `port` 0 picks an ephemeral port
-    /// shared by every shard.
+    /// shared by every shard.  `budget` is ignored: the fleet builds one
+    /// from `max_connections`.
     ServerConfig net;
     /// Number of (event loop + service) shards; 0 = hardware concurrency.
+    /// With more than one, shard i's thread is pinned to CPU i mod the
+    /// hardware concurrency.
     std::size_t shards = 0;
-    /// Pin shard i's loop thread to CPU i mod hardware concurrency.
-    bool pin_threads = true;
-    /// Supervisor sampling period: a dead shard is detected and respawned
-    /// within one interval.  Also bounds the drain fan-out latency after
-    /// request_drain().
-    std::chrono::milliseconds heartbeat_interval{50};
 };
 
 /// N-way sharded explanation server.  Owns its services (one per shard),
@@ -100,14 +88,14 @@ public:
     /// in `error` (when non-null), and closes whatever was bound.
     [[nodiscard]] bool start(std::string* error = nullptr);
 
-    /// Runs every shard on its own (optionally pinned) thread; the calling
-    /// thread becomes the shard supervisor and blocks until all have
+    /// Runs every shard on its own thread and blocks until all have
     /// drained.  start() must have succeeded.
     void run();
 
-    /// Begins a graceful drain on every shard.  Async-signal-safe (one
-    /// atomic store — the supervisor fans it out within one
-    /// heartbeat_interval) and idempotent — wired to SIGTERM by the CLI.
+    /// Begins a graceful drain on every shard.  Async-signal-safe (per
+    /// shard, an atomic store and an eventfd write; the shard list never
+    /// changes after construction) and idempotent — wired to SIGTERM by the
+    /// CLI.
     void request_drain() noexcept;
 
     /// Stops every shard's service (drains queued work, joins dispatchers,
@@ -121,20 +109,14 @@ public:
     /// Fleet aggregate of every shard's stats, each key merged by its
     /// table rule (serve::merge_stats): histogram quantiles and means are
     /// exact over all shards' samples, and counts read from fleet-wide
-    /// objects (fault injectors, the connection budget, respawns) are
-    /// counted once.
+    /// objects (fault injectors, the connection budget) are counted once.
+    /// Safe to call from any thread, including several shard loops at once.
     [[nodiscard]] serve::ServiceStats stats() const;
-
-    /// Shard threads respawned by the supervisor so far.
-    [[nodiscard]] std::uint64_t shard_respawns() const noexcept {
-        return shard_respawns_.value();
-    }
 
     /// The fleet-wide connection budget (tests assert slot exactness).
     [[nodiscard]] const ConnectionBudget& budget() const noexcept { return *budget_; }
 
-    /// Shard internals, for tests and benchmarks.  Not synchronized against
-    /// the supervisor — callers must know the shard is not mid-respawn.
+    /// Shard internals, for tests and benchmarks.
     [[nodiscard]] serve::ExplanationService& service(std::size_t shard) {
         return *shards_[shard]->service;
     }
@@ -149,35 +131,13 @@ private:
         std::thread thread;
     };
 
-    void build_shard_locked(std::size_t index);
-    /// Joins the dead thread, rebuilds service (reloading the .shardK
-    /// snapshot) + server, replays the admin log, rebinds, respawns.
-    /// Caller holds admin_mutex_ then shards_mutex_.
-    void respawn_shard_locked(std::size_t index);
-    /// The supervisor loop run() parks its caller in.
-    void supervise();
-
-    ShardedServerConfig config_;
     std::shared_ptr<ConnectionBudget> budget_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /// Construction state retained so a dead shard can be rebuilt.
-    std::shared_ptr<const xnfv::ml::Model> model_;
-    xnfv::xai::BackgroundData background_;
-    serve::ServiceConfig per_shard_;
-    RowLookup row_lookup_;
-    std::uint16_t port_ = 0;  ///< concrete port every listener shares
+    std::vector<std::unique_ptr<Shard>> shards_;  ///< fixed after construction
     /// Serializes admin ops (load/swap/retire fan-out across shards) and
-    /// orders before shards_mutex_ when both are held (respawn replay).
-    mutable std::mutex admin_mutex_;
-    /// Guards shards_ entries against the supervisor swapping a shard's
-    /// service/server mid-respawn (stats and admin fan-out take it too).
-    mutable std::mutex shards_mutex_;
-    /// Mutating admin ops in arrival order, replayed into a respawned
-    /// shard's fresh service so late-loaded tenants survive the crash.
-    std::vector<serve::JsonValue> admin_log_;
-    std::atomic<bool> draining_{false};
+    /// stats_reset, so two concurrent ops cannot interleave half-applied
+    /// fleets.
+    std::mutex admin_mutex_;
     std::atomic<bool> services_stopped_{false};
-    serve::Counter shard_respawns_;
 };
 
 }  // namespace xnfv::net

@@ -2,9 +2,8 @@
 // flag that rides next to it.
 //
 // This is the per-shard completion path of the sharded explanation server:
-// the shard's service dispatcher (one thread at a time — respawns and the
-// stop()-time inline drain are sequenced by joins) pushes rendered response
-// lines, the shard's event-loop thread pops them.  The previous design was a
+// the shard's service dispatcher thread pushes rendered response lines, the
+// shard's event-loop thread pops them.  The previous design was a
 // mutex-protected vector; under a cached-hit flood the lock and the
 // per-completion eventfd write dominated the handoff, so the ring removes
 // the lock from the data path and CoalescedWake collapses N completions

@@ -29,13 +29,12 @@ enum class ServeError : std::uint8_t {
     quota_exceeded,      ///< per-model admission quota reached (tenant, not fleet)
     retry_duplicate,     ///< retried rid answered from the dedup window (no recompute)
     circuit_open,        ///< per-tenant circuit breaker rejected the request
-    shard_respawn,       ///< supervisor restarted a dead shard thread
     net_fault_injected,  ///< socket-level chaos fault fired (counting, not a failure)
     unsupported_explainer,  ///< forced exact explainer incompatible with the model kind
 };
 
 /// Number of enumerators (for per-reason counter arrays).
-inline constexpr std::size_t kNumServeErrors = 16;
+inline constexpr std::size_t kNumServeErrors = 15;
 
 [[nodiscard]] constexpr const char* to_string(ServeError error) noexcept {
     switch (error) {
@@ -52,7 +51,6 @@ inline constexpr std::size_t kNumServeErrors = 16;
         case ServeError::quota_exceeded: return "quota_exceeded";
         case ServeError::retry_duplicate: return "retry_duplicate";
         case ServeError::circuit_open: return "circuit_open";
-        case ServeError::shard_respawn: return "shard_respawn";
         case ServeError::net_fault_injected: return "net_fault_injected";
         case ServeError::unsupported_explainer: return "unsupported_explainer";
     }

@@ -371,10 +371,6 @@ constexpr Row kRows[] = {
     {.key = "net_retry_duplicates", .kind = counter, .merge = sum, .line = "chaos",
      .label = "retry-duplicates", .net = true, .u64 = &S::net_retry_duplicates,
      .mirror = ServeError::retry_duplicate},
-    // Counted by the shard supervisor, once for the fleet.
-    {.key = "net_shard_respawns", .kind = fact, .merge = first, .line = "chaos",
-     .label = "shard-respawns", .net = true, .u64 = &S::net_shard_respawns,
-     .mirror = ServeError::shard_respawn},
     {.key = "errors_by_reason", .kind = slices, .merge = sum, .line = "errors",
      .slice = Slice::reasons},
     // The admin fan-out copies the registry to every shard.

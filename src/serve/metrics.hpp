@@ -235,12 +235,10 @@ struct ServiceStats {
     double conn_requests_p50 = 0.0;  ///< per-connection request count quantiles
     double conn_requests_mean = 0.0;
     std::uint64_t conn_requests_max = 0;
-    /// Resilience layer: socket-level chaos faults fired, retried rids
-    /// answered from the per-connection dedup window, and shard threads
-    /// respawned by the supervisor.
+    /// Resilience layer: socket-level chaos faults fired, and retried rids
+    /// answered from the per-connection dedup window.
     std::uint64_t net_faults_injected = 0;
     std::uint64_t net_retry_duplicates = 0;
-    std::uint64_t net_shard_respawns = 0;
 
     /// Multi-model registry section: live entries in registration order.
     /// A single-model service reports exactly one entry (its default model).

@@ -134,17 +134,15 @@ for path in sys.argv[1:]:
         json.loads(line)
 ' "$DIR"/serve[1-5].out "$DIR"/probe.out "$DIR"/probe[24].out
 
-# Chaos + self-healing: with every socket fault armed (RST kills capped at
-# 2, one shard death), a retrying load run must answer every request
-# exactly once, the dead shard must respawn, a plain probe must succeed
-# once the kill budget is spent, and SIGTERM must still drain.
+# Chaos: with every socket fault armed (RST kills capped at 2), a retrying
+# load run must answer every request exactly once, a plain probe must
+# succeed once the kill budget is spent, and SIGTERM must still drain.
 "$CLI" serve --model "$DIR/model.xnfv" --data "$DIR/data.csv" \
-    --listen 0 --shards 2 --heartbeat-ms 20 \
+    --listen 0 --shards 2 \
     --net-fault-seed 7 \
     --net-fault-partial-write-rate 0.2 --net-fault-torn-read-rate 0.2 \
     --net-fault-eintr-rate 0.1 --net-fault-stall-rate 0.1 \
     --net-fault-rst-rate 0.05 --net-fault-max-rst 2 \
-    --net-fault-shard-death-rate 1.0 --net-fault-max-deaths 1 \
     > "$DIR/tcp3.out" 2>&1 &
 SRV3=$!
 PORT3=""
@@ -161,13 +159,12 @@ test -n "$PORT3"
     --backoff-ms 5 > "$DIR/loadgen.out"
 grep -q '"answered":32' "$DIR/loadgen.out"
 grep -q '"errors":0' "$DIR/loadgen.out"
-# The supervisor may count the respawn after the load run has finished, so
-# keep probing until the stats line reports it.
+# A probe fails while the RST budget lasts (it does not retry), so keep
+# probing until one gets its stats line.
 STATS=""
 i=0
 while [ $i -lt 50 ]; do
-  if STATS=$("$CLI" netprobe --port "$PORT3" --stats --timeout-ms 3000 2>/dev/null) &&
-      echo "$STATS" | grep -q '"net_shard_respawns":1'; then
+  if STATS=$("$CLI" netprobe --port "$PORT3" --stats --timeout-ms 3000 2>/dev/null); then
     break
   fi
   STATS=""

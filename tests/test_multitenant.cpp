@@ -227,6 +227,17 @@ TEST(MultiTenantService, QuotaRejectionsCountAgainstTheHotTenantOnly) {
         }
         for (auto& f : inflight) (void)f.get();
     });
+    // Start the cold loop only after the flood's first admission: on a busy
+    // host the flood thread can otherwise start after the cold loop ends.
+    using Clock = std::chrono::steady_clock;
+    const auto flood_deadline = Clock::now() + std::chrono::seconds(10);
+    while (hot_accepted.load() == 0 && Clock::now() < flood_deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (hot_accepted.load() == 0) {
+        stop.store(true);
+        flood.join();
+        FAIL() << "the flood admitted no hot request within 10 s";
+    }
 
     std::size_t cold_completed = 0;
     for (std::uint64_t i = 0; i < 60; ++i) {

@@ -190,6 +190,67 @@ std::uint64_t extract_id(const std::string& line) {
     return std::strtoull(line.c_str() + pos + 5, nullptr, 10);
 }
 
+/// The transport-killing fault: rst_close aborts three connections
+/// mid-stream (SO_LINGER(0) — the peer sees ECONNRESET, possibly after
+/// responses were computed but before they were read).  The loadgen's retry
+/// mode must reconnect, re-send every unanswered request, and finish with
+/// each id answered exactly once.  `serve(cfg, drive)` starts a server with
+/// front-end settings `cfg`, calls `drive(port)` while it serves, then
+/// drains it.
+template <class Serve>
+void expect_rst_storm_absorbed(Serve serve) {
+    const std::size_t conns = 6, per_conn = 5;
+    const auto rows = scenario().data.size();
+    std::vector<std::vector<std::string>> scripts(conns);
+    for (std::size_t c = 0; c < conns; ++c)
+        for (std::size_t r = 0; r < per_conn; ++r) {
+            const std::uint64_t id = c * per_conn + r + 1;
+            scripts[c].push_back(
+                row_request(id, (c * per_conn + r) % rows, "tree_shap", id));
+        }
+
+    net::ServerConfig cfg;
+    net::NetFaultInjector::Config nf;
+    nf.seed = 99;
+    nf.rate[static_cast<std::size_t>(net::NetFaultPoint::rst_close)] = 1.0;
+    nf.max_fires[static_cast<std::size_t>(net::NetFaultPoint::rst_close)] = 3;
+    cfg.chaos = std::make_shared<net::NetFaultInjector>(nf);
+    net::LoadReport report;
+    serve(cfg, [&scripts, &report](std::uint16_t port) {
+        net::LoadgenConfig lg;
+        lg.port = port;
+        lg.window = 2;
+        lg.timeout = std::chrono::milliseconds(120000);
+        lg.max_retries = 16;
+        lg.response_timeout = 2000ms;
+        lg.connect_timeout = 2000ms;
+        lg.backoff_base = 5ms;
+        lg.retry_seed = 7;
+        report = net::run_load(lg, scripts);
+    });
+
+    EXPECT_EQ(cfg.chaos->fired(net::NetFaultPoint::rst_close), 3u);
+    ASSERT_FALSE(report.timed_out);
+    std::size_t reconnects = 0;
+    std::set<std::uint64_t> answered;
+    for (std::size_t c = 0; c < report.conns.size(); ++c) {
+        const auto& conn = report.conns[c];
+        EXPECT_FALSE(conn.connect_failed) << "conn " << c;
+        EXPECT_FALSE(conn.io_error) << "conn " << c;
+        reconnects += conn.reconnects;
+        // Every scripted id answered exactly once (duplicates are counted
+        // separately, not delivered into the matched set).
+        EXPECT_EQ(conn.lines.size() - conn.duplicates, per_conn) << "conn " << c;
+        for (const auto& l : conn.lines) {
+            EXPECT_NE(l.find("\"ok\":true"), std::string::npos) << l;
+            answered.insert(extract_id(l));
+        }
+    }
+    EXPECT_EQ(answered.size(), conns * per_conn);
+    // Three kills means at least three re-established connections.
+    EXPECT_GE(reconnects, 3u);
+}
+
 }  // namespace
 
 TEST(NetChaos, ChunkingFaultsAreByteInvisible) {
@@ -335,67 +396,36 @@ TEST(NetChaos, TornFramesReassembleToIdenticalResponse) {
 }
 
 TEST(NetChaos, RstStormAbsorbedBySafeRetries) {
-    // The transport-killing fault: rst_close aborts connections mid-stream
-    // (SO_LINGER(0) — the peer sees ECONNRESET, possibly after responses
-    // were computed but before they were read).  The loadgen's retry mode
-    // must reconnect, re-send every unanswered request, and finish with
-    // each id answered exactly once.
-    const std::size_t conns = 6, per_conn = 5;
-    const auto rows = scenario().data.size();
-    std::vector<std::vector<std::string>> scripts(conns);
-    for (std::size_t c = 0; c < conns; ++c)
-        for (std::size_t r = 0; r < per_conn; ++r) {
-            const std::uint64_t id = c * per_conn + r + 1;
-            scripts[c].push_back(
-                row_request(id, (c * per_conn + r) % rows, "tree_shap", id));
-        }
+    expect_rst_storm_absorbed([](const net::ServerConfig& cfg, const auto& drive) {
+        const auto& s = scenario();
+        serve::ExplanationService service(s.forest, s.background, service_config());
+        net::ExplanationServer server(service, cfg);
+        server.set_row_lookup(row_lookup());
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        std::thread loop([&server] { server.run(); });
+        drive(server.port());
+        server.request_drain();
+        loop.join();
+        service.stop();
+    });
+}
 
-    const auto& s = scenario();
-    serve::ExplanationService service(s.forest, s.background, service_config());
-    net::ServerConfig cfg;
-    net::NetFaultInjector::Config nf;
-    nf.seed = 99;
-    nf.rate[static_cast<std::size_t>(net::NetFaultPoint::rst_close)] = 1.0;
-    nf.max_fires[static_cast<std::size_t>(net::NetFaultPoint::rst_close)] = 3;
-    cfg.chaos = std::make_shared<net::NetFaultInjector>(nf);
-    net::ExplanationServer server(service, cfg);
-    server.set_row_lookup(row_lookup());
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    std::thread loop([&server] { server.run(); });
-
-    net::LoadgenConfig lg;
-    lg.port = server.port();
-    lg.window = 2;
-    lg.timeout = std::chrono::milliseconds(120000);
-    lg.max_retries = 16;
-    lg.response_timeout = 2000ms;
-    lg.connect_timeout = 2000ms;
-    lg.backoff_base = 5ms;
-    lg.retry_seed = 7;
-    const auto report = net::run_load(lg, scripts);
-    server.request_drain();
-    loop.join();
-    service.stop();
-
-    EXPECT_EQ(cfg.chaos->fired(net::NetFaultPoint::rst_close), 3u);
-    ASSERT_FALSE(report.timed_out);
-    std::size_t reconnects = 0;
-    std::set<std::uint64_t> answered;
-    for (std::size_t c = 0; c < report.conns.size(); ++c) {
-        const auto& conn = report.conns[c];
-        EXPECT_FALSE(conn.connect_failed) << "conn " << c;
-        EXPECT_FALSE(conn.io_error) << "conn " << c;
-        reconnects += conn.reconnects;
-        // Every scripted id answered exactly once (duplicates are counted
-        // separately, not delivered into the matched set).
-        EXPECT_EQ(conn.lines.size() - conn.duplicates, per_conn) << "conn " << c;
-        for (const auto& l : conn.lines) {
-            EXPECT_NE(l.find("\"ok\":true"), std::string::npos) << l;
-            answered.insert(extract_id(l));
-        }
-    }
-    EXPECT_EQ(answered.size(), conns * per_conn);
-    // Three kills means at least three re-established connections.
-    EXPECT_GE(reconnects, 3u);
+TEST(NetChaos, ShardedRstStormAbsorbedBySafeRetries) {
+    // The same storm through a 2-shard fleet, where a reconnect may land on
+    // the other shard.  After the drain the fleet budget holds no slot.
+    expect_rst_storm_absorbed([](const net::ServerConfig& cfg, const auto& drive) {
+        const auto& s = scenario();
+        net::ShardedServer server(s.forest, s.background, service_config(),
+                                  {.net = cfg, .shards = 2});
+        server.set_row_lookup(row_lookup());
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        std::thread loop([&server] { server.run(); });
+        drive(server.port());
+        server.request_drain();
+        loop.join();
+        server.stop_services();
+        EXPECT_EQ(server.budget().active.load(), 0u);
+    });
 }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "mlcore/forest.hpp"
-#include "net/chaos.hpp"
 #include "net/client.hpp"
 #include "net/loadgen.hpp"
 #include "net/server.hpp"
@@ -340,82 +339,6 @@ TEST(ShardedEquivalence, ServedLineMatchesOneShotExplainer) {
     EXPECT_EQ(streams[0][0], serve::render_response(r));
 }
 
-TEST(ShardedSelfHealing, DeadShardRespawnsUnderLoadWithoutClientErrors) {
-    // Chaos kills exactly one shard's event loop mid-run (shard_death with
-    // max_fires = 1).  The supervisor must detect the dead thread within one
-    // heartbeat and rebuild it — meanwhile retry-mode clients reconnect
-    // (the kernel rehashes them onto the surviving listener) and finish with
-    // every request answered, the respawn counted, and the fleet budget
-    // exactly drained.
-    const std::size_t conns = 12, per_conn = 6;
-    const auto rows = scenario().data.size();
-    std::vector<std::vector<std::string>> scripts(conns);
-    for (std::size_t c = 0; c < conns; ++c)
-        for (std::size_t r = 0; r < per_conn; ++r) {
-            const std::uint64_t id = c * per_conn + r + 1;
-            scripts[c].push_back(
-                row_request(id, (c * per_conn + r) % rows, "tree_shap", id));
-        }
-
-    const auto& s = scenario();
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 2;
-    shcfg.heartbeat_interval = std::chrono::milliseconds(20);
-    shcfg.net.max_connections = conns + 16;
-    shcfg.net.tick = std::chrono::milliseconds(10);
-    net::NetFaultInjector::Config nf;
-    nf.seed = 33;
-    nf.rate[static_cast<std::size_t>(net::NetFaultPoint::shard_death)] = 1.0;
-    nf.max_fires[static_cast<std::size_t>(net::NetFaultPoint::shard_death)] = 1;
-    shcfg.net.chaos = std::make_shared<net::NetFaultInjector>(nf);
-    net::ShardedServer server(s.forest, s.background, service_config(), shcfg);
-    server.set_row_lookup(row_lookup());
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    std::thread loop([&server] { server.run(); });
-
-    net::LoadgenConfig lg;
-    lg.port = server.port();
-    lg.window = 2;
-    lg.timeout = std::chrono::milliseconds(120000);
-    lg.max_retries = 16;
-    lg.response_timeout = std::chrono::milliseconds(2000);
-    lg.connect_timeout = std::chrono::milliseconds(2000);
-    lg.backoff_base = std::chrono::milliseconds(5);
-    lg.retry_seed = 3;
-    const auto report = net::run_load(lg, scripts);
-
-    // The kill fires on the victim's first tick; wait (bounded) for the
-    // supervisor to notice and respawn before sampling stats.
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (server.shard_respawns() < 1 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(5ms);
-    EXPECT_EQ(server.shard_respawns(), 1u);
-    const auto stats = server.stats();
-    server.request_drain();
-    loop.join();
-    server.stop_services();
-
-    EXPECT_EQ(stats.net_shard_respawns, 1u);
-    EXPECT_EQ(stats.net_shards, 2u);
-    ASSERT_FALSE(report.timed_out);
-    std::uint64_t answered = 0;
-    for (std::size_t c = 0; c < report.conns.size(); ++c) {
-        const auto& conn = report.conns[c];
-        EXPECT_FALSE(conn.connect_failed) << "conn " << c;
-        EXPECT_FALSE(conn.io_error) << "conn " << c;
-        EXPECT_EQ(conn.lines.size() - conn.duplicates, per_conn) << "conn " << c;
-        for (const auto& l : conn.lines)
-            EXPECT_NE(l.find("\"ok\":true"), std::string::npos) << l;
-        answered += conn.lines.size() - conn.duplicates;
-    }
-    EXPECT_EQ(answered, conns * per_conn);
-    // Every budget slot the dead shard held was reclaimed; after the drain
-    // the fleet holds none.
-    EXPECT_EQ(server.budget().active.load(), 0u);
-}
-
 TEST(ShardedEquivalence, StatsAggregateAcrossShards) {
     // The fleet aggregate must add up exactly: every scripted explain is
     // accepted-or-rejected on some shard, and stats() sums them all.
@@ -620,7 +543,7 @@ TEST(ShardedStats, StatsKeysKeepTheirWireOrderOnEveryServer) {
         "connections_rejected", "connections_closed_idle",
         "connections_closed_backpressure", "net_bytes_in", "net_bytes_out",
         "net_requests", "conn_requests_p50", "conn_requests_max", "net_faults_injected",
-        "net_retry_duplicates", "net_shard_respawns"};
+        "net_retry_duplicates"};
     const std::vector<std::string> tail{"errors_by_reason", "models_registered",
                                         "model_swaps", "models", "report"};
     const std::vector<std::string> explainer_keys{

@@ -387,7 +387,13 @@ TEST(NetSoak, GracefulDrainFlushesEveryInFlightBatch) {
     lg.timeout = std::chrono::milliseconds(120000);
     net::LoadReport report;
     std::thread load([&] { report = net::run_load(lg, scripts); });
-    std::this_thread::sleep_for(30ms);  // mid-flight
+    // Mid-flight: drain once every connection is open and pipelining.  The
+    // drain closes the listeners at once, so a connect still in flight then
+    // would be refused, which is the drain working, not what this pins.
+    const auto all_open_by = std::chrono::steady_clock::now() + 10s;
+    while (harness.server->budget().active.load() < conns &&
+           std::chrono::steady_clock::now() < all_open_by)
+        std::this_thread::sleep_for(1ms);
     harness.server->request_drain();
     load.join();
 

@@ -147,8 +147,6 @@ int usage() {
         "            event-loop+service shards (0 = hardware concurrency;\n"
         "            --max-conns stays a fleet-wide limit and responses are\n"
         "            byte-identical at any shard count)\n"
-        "            [--heartbeat-ms M]   shard supervisor sampling period:\n"
-        "            a dead shard is respawned within one interval\n"
         "            [--dedup-window N]   per-connection idempotent-retry\n"
         "            window: a re-sent \"rid\" is answered from the recorded\n"
         "            response instead of recomputed (0 disables)\n"
@@ -160,7 +158,6 @@ int usage() {
         "            [--net-fault-seed S] [--net-fault-partial-write-rate R]\n"
         "            [--net-fault-torn-read-rate R] [--net-fault-eintr-rate R]\n"
         "            [--net-fault-stall-rate R] [--net-fault-rst-rate R]\n"
-        "            [--net-fault-shard-death-rate R] [--net-fault-max-deaths N]\n"
         "            [--net-fault-max-rst N]\n"
         "            deterministic socket-layer chaos (seeded; byte-stream\n"
         "            shaping faults never change response bytes)\n"
@@ -517,8 +514,6 @@ int cmd_serve(const Args& args) {
         shcfg.net.max_output_bytes =
             static_cast<std::size_t>(args.get_int("max-output", 8 << 20));
         shcfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
-        shcfg.heartbeat_interval =
-            std::chrono::milliseconds(args.get_int("heartbeat-ms", 50));
         shcfg.net.dedup_window =
             static_cast<std::size_t>(args.get_int("dedup-window", 1024));
 
@@ -540,10 +535,6 @@ int cmd_serve(const Args& args) {
                 std::stod(args.get("net-fault-stall-rate", "0"));
             nf.rate[point(xnfv::net::NetFaultPoint::rst_close)] =
                 std::stod(args.get("net-fault-rst-rate", "0"));
-            nf.rate[point(xnfv::net::NetFaultPoint::shard_death)] =
-                std::stod(args.get("net-fault-shard-death-rate", "0"));
-            nf.max_fires[point(xnfv::net::NetFaultPoint::shard_death)] =
-                static_cast<std::uint64_t>(args.get_int("net-fault-max-deaths", 1));
             nf.max_fires[point(xnfv::net::NetFaultPoint::rst_close)] =
                 static_cast<std::uint64_t>(args.get_int("net-fault-max-rst", 0));
             bool armed = false;
