@@ -63,11 +63,10 @@ void EventLoop::run() {
     auto last_tick = Clock::now();
     std::array<epoll_event, 64> events;
     while (!stop_.load(std::memory_order_acquire)) {
-        const auto timeout =
-            static_cast<int>(std::chrono::milliseconds(tick_).count());
+        const bool ticking = on_tick_ && tick_.count() > 0;
         const int n = ::epoll_wait(epoll_fd_, events.data(),
                                    static_cast<int>(events.size()),
-                                   timeout <= 0 ? 1 : timeout);
+                                   ticking ? static_cast<int>(tick_.count()) : -1);
         if (n < 0) {
             if (errno == EINTR) continue;
             break;  // unrecoverable epoll failure: let the owner clean up
@@ -90,10 +89,12 @@ void EventLoop::run() {
         }
         if (woken && on_wake_) on_wake_();
         if (stop_.load(std::memory_order_acquire)) break;
-        const auto now = Clock::now();
-        if (on_tick_ && now - last_tick >= tick_) {
-            last_tick = now;
-            on_tick_();
+        if (on_tick_ && tick_.count() > 0) {
+            const auto now = Clock::now();
+            if (now - last_tick >= tick_) {
+                last_tick = now;
+                on_tick_();
+            }
         }
     }
 }

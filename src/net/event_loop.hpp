@@ -8,9 +8,10 @@
 // service's dispatcher thread *and* from a SIGTERM handler.
 //
 // Level-triggered: callbacks read/write until EAGAIN but never need to
-// drain-or-starve the way edge-triggered handlers must.  A coarse tick
-// callback (idle-timeout scans, drain progress) fires at least every `tick`
-// interval regardless of socket activity.
+// drain-or-starve the way edge-triggered handlers must.  An optional coarse
+// tick callback (idle-timeout scans, drain progress) fires at least every
+// tick interval regardless of socket activity; with no tick the loop sleeps
+// until a registered fd is ready or notify() is called.
 #pragma once
 
 #include <atomic>
@@ -61,7 +62,9 @@ public:
         on_wake_ = std::move(handler);
     }
     /// Invoked on the loop thread at least every `interval` (and after any
-    /// dispatch batch that took longer).
+    /// dispatch batch that took longer); a zero interval turns the tick off.
+    /// May be called from a callback on the loop thread to change the
+    /// interval; the next wait uses it.
     void set_tick(std::chrono::milliseconds interval, std::function<void()> handler) {
         tick_ = interval;
         on_tick_ = std::move(handler);
@@ -73,7 +76,7 @@ private:
     std::atomic<bool> stop_{false};
     std::function<void()> on_wake_;
     std::function<void()> on_tick_;
-    std::chrono::milliseconds tick_{100};
+    std::chrono::milliseconds tick_{0};  ///< 0 = no tick
     std::unordered_map<int, Callback> callbacks_;
 };
 

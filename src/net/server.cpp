@@ -4,6 +4,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "serve/explainers.hpp"
@@ -17,6 +19,10 @@ namespace {
 /// RST past unread request bytes and could destroy responses still queued in
 /// the peer's kernel buffer.  Bounds SIGTERM exit time.
 constexpr std::chrono::milliseconds kDrainLinger{5000};
+
+/// How often a draining loop checks for settled connections and the linger
+/// deadline.
+constexpr std::chrono::milliseconds kDrainPoll{20};
 
 /// Error responses reuse the exact rendering the stdin loop produces through
 /// render_response, so a TCP client sees the same bytes for the same fault.
@@ -72,7 +78,10 @@ bool ExplanationServer::bind_port(std::uint16_t port, std::string* error) {
 
 void ExplanationServer::run() {
     loop_.set_wake_handler([this] { on_wake(); });
-    loop_.set_tick(config_.tick, [this] { on_tick(); });
+    // No tick unless idle connections need scanning: an idle shard sleeps.
+    if (config_.idle_timeout.count() > 0)
+        loop_.set_tick(std::max(config_.idle_timeout / 10, std::chrono::milliseconds(1)),
+                       [this] { on_tick(); });
     loop_.add(listener_.fd(), EPOLLIN, [this](std::uint32_t) { on_accept(); });
     loop_.run();
     // Whatever survives a stop (drain closes everything it waited for) is
@@ -185,9 +194,6 @@ void ExplanationServer::on_wake() {
 }
 
 void ExplanationServer::on_tick() {
-    drain_completions();
-    if (drain_requested_.load(std::memory_order_acquire) && !draining_)
-        begin_drain();
     if (config_.idle_timeout.count() > 0 && !draining_) {
         const auto now = std::chrono::steady_clock::now();
         std::vector<std::uint64_t> idle;
@@ -357,14 +363,20 @@ void ExplanationServer::handle_frame(Connection& conn, const serve::Frame& frame
     }
 
     const std::uint64_t id = er.id;
+    std::optional<serve::ExplainResponse> hit;
     const auto rejected = service_.submit_async(
         std::move(er),
         // Dispatcher thread: render (pure) and marshal onto the loop over
         // the lock-free ring; the eventfd write is coalesced per drain.
         [channel = channel_, conn_id = conn.id(), seq](serve::ExplainResponse r) {
             channel->push({conn_id, seq, serve::render_response(r)});
-        });
-    if (rejected != serve::ServeError::none) {
+        },
+        &hit);
+    if (hit) {
+        // A cache hit, answered at admission on this thread: the slot is
+        // filled here, and the ring keeps the dispatcher as its one producer.
+        conn.fulfill(seq, serve::render_response(*hit));
+    } else if (rejected != serve::ServeError::none) {
         conn.fulfill(seq, render_error_line(
                               id, rejected,
                               std::string("rejected: ") + to_string(rejected)));
@@ -450,6 +462,7 @@ void ExplanationServer::close_conn(Connection& conn) {
 void ExplanationServer::begin_drain() {
     draining_ = true;
     drain_deadline_ = std::chrono::steady_clock::now() + kDrainLinger;
+    loop_.set_tick(kDrainPoll, [this] { on_tick(); });
     if (listener_.listening()) {
         loop_.remove(listener_.fd());
         listener_.close();

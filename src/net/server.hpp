@@ -10,11 +10,16 @@
 // answer.  DESIGN.md section 12 describes the model in full.
 //
 // Threading: one event-loop thread owns all sockets and per-connection
-// state.  The service's dispatcher thread delivers completions through
-// submit_async callbacks, which render the response line (a pure function)
-// and hand (connection, slot, line) to the loop through a lock-free SPSC
-// completion ring (net/spsc_ring.hpp) plus a coalesced eventfd wake — the
-// dispatcher never touches a socket, and the data path never takes a lock.
+// state.  A cache hit is answered at admission: submit_async hands its
+// response straight back to the loop thread, which renders it and fulfils
+// the connection's slot in the same callback that read the request.  A miss
+// completes on the service's dispatcher thread, through a submit_async
+// callback that renders the response line (a pure function) and hands
+// (connection, slot, line) to the loop through a lock-free SPSC completion
+// ring (net/spsc_ring.hpp) plus a coalesced eventfd wake; the dispatcher is
+// the ring's only producer.  The dispatcher never touches a socket, and the
+// data path never takes a lock.  An idle loop sleeps in epoll_wait with no
+// timeout unless `idle_timeout` is set or a drain is under way.
 // One server is one shard of the thread-per-core ShardedServer
 // (net/sharded_server.hpp); run standalone it is the single-loop server of
 // DESIGN.md section 12.
@@ -95,10 +100,8 @@ struct ServerConfig {
     /// half-open and is closed with a `backpressure` error.
     std::size_t max_output_bytes = 8u << 20;
     /// Close connections with no traffic and nothing in flight for this
-    /// long.  0 disables.
+    /// long, scanning every tenth of it.  0 disables.
     std::chrono::milliseconds idle_timeout{0};
-    /// Event-loop housekeeping period (idle scans, drain progress).
-    std::chrono::milliseconds tick{20};
     /// When > 0, shrink each accepted socket's kernel send buffer
     /// (SO_SNDBUF) — lets backpressure tests overflow the output cap
     /// deterministically with small payloads.

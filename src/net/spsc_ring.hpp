@@ -92,6 +92,14 @@ private:
 /// (eventfd write) only when it returns true; the consumer calls rearm()
 /// BEFORE draining, so a push that lands mid-drain raises a fresh wake
 /// instead of being lost.
+///
+/// Both sides are read-modify-writes of one flag, so they are totally
+/// ordered: a raise() ordered before the rearm() finds the flag set and
+/// skips the wake, but the rearm() then acquires it, and the drain that
+/// follows sees that push; a raise() ordered after finds the flag clear and
+/// delivers a fresh wake.  A plain store in rearm() would lose the first
+/// case: the consumer's read of the ring could miss a push whose raise()
+/// saw the old flag.
 class CoalescedWake {
 public:
     /// True when the caller owns delivering the (single) pending wake.
@@ -99,7 +107,7 @@ public:
         return !pending_.exchange(true, std::memory_order_acq_rel);
     }
     /// Consumer: accept the wake and allow the next one.
-    void rearm() noexcept { pending_.store(false, std::memory_order_release); }
+    void rearm() noexcept { pending_.exchange(false, std::memory_order_acq_rel); }
     [[nodiscard]] bool pending() const noexcept {
         return pending_.load(std::memory_order_acquire);
     }

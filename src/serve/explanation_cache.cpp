@@ -45,12 +45,8 @@ std::optional<xnfv::xai::Explanation> ExplanationCache::lookup(const CacheKey& k
     Shard& shard = shard_for(key);
     std::lock_guard lock(shard.mutex);
     const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        misses_.inc();
-        return std::nullopt;
-    }
+    if (it == shard.index.end()) return std::nullopt;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    hits_.inc();
     return it->second->explanation;
 }
 
@@ -87,8 +83,6 @@ ExplanationCache::export_lru_oldest_first() const {
 
 CacheStats ExplanationCache::stats() const {
     CacheStats s;
-    s.hits = hits_.value();
-    s.misses = misses_.value();
     s.evictions = evictions_.value();
     s.entries = size();
     return s;

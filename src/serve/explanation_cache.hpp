@@ -11,7 +11,8 @@
 //   * the quantized feature vector (bit patterns when quantum == 0).
 // The store is sharded by key hash: each shard has its own mutex, intrusive
 // LRU list and hash map, so concurrent lookups from batch workers contend
-// only within a shard.  Hits, misses and evictions are counted per cache.
+// only within a shard.  Evictions are counted per cache; the service counts
+// hits and misses, because it probes at admission and again at dispatch.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +63,6 @@ private:
 };
 
 struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t entries = 0;
 };
@@ -80,7 +79,7 @@ public:
     ExplanationCache& operator=(const ExplanationCache&) = delete;
 
     /// Returns a copy of the cached explanation and refreshes its LRU
-    /// position, or nullopt on miss.  Counts a hit or a miss.
+    /// position, or nullopt on miss.
     [[nodiscard]] std::optional<xnfv::xai::Explanation> lookup(const CacheKey& key);
 
     /// Inserts (or refreshes) an entry, evicting the shard's LRU tail when
@@ -123,7 +122,7 @@ private:
     std::vector<Shard> shards_;
     std::uint64_t shard_mask_;
     std::size_t shard_capacity_;
-    Counter hits_, misses_, evictions_;
+    Counter evictions_;
 };
 
 }  // namespace xnfv::serve

@@ -174,11 +174,11 @@ struct ModelServiceStats {
 /// request's payload.  Histogram figures (`*_p50`, `*_mean`, `*_max`) are
 /// derived from the raw snapshots beside them by derive().
 struct ServiceStats {
-    std::uint64_t requests_accepted = 0;   ///< submissions that entered the queue
+    std::uint64_t requests_accepted = 0;   ///< submissions admitted: hit at admission or queued
     std::uint64_t requests_rejected = 0;   ///< submissions refused at the door
     std::uint64_t requests_completed = 0;  ///< responses delivered (hit or computed)
     std::uint64_t requests_degraded = 0;   ///< responses served below full fidelity
-    std::uint64_t batches = 0;             ///< batches executed
+    std::uint64_t batches = 0;             ///< batches executed (dispatched work only)
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_evictions = 0;

@@ -67,7 +67,11 @@ std::vector<Job> RequestQueue::pop_batch(std::chrono::steady_clock::time_point d
                                          std::size_t max) {
     std::vector<Job> batch;
     std::unique_lock lock(mutex_);
-    not_empty_.wait_until(lock, deadline, [this] { return total_ > 0 || closed_; });
+    const auto ready = [this] { return total_ > 0 || closed_; };
+    if (deadline == std::chrono::steady_clock::time_point::max())
+        not_empty_.wait(lock, ready);
+    else
+        not_empty_.wait_until(lock, deadline, ready);
     const std::size_t n = std::min(total_, std::max<std::size_t>(1, max));
     batch.reserve(n);
     while (batch.size() < n) batch.push_back(pop_locked());

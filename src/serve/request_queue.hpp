@@ -91,8 +91,10 @@ struct Job {
     ExplainRequest request;
     /// Completion channel: the TCP front-end's push callback, or the one
     /// submit() wraps around a promise.  Called exactly once, on the thread
-    /// executing the batch, in admission order; it must be fast and must
-    /// not throw.
+    /// executing the batch, in admission order among queued jobs; it must
+    /// be fast and must not throw.  A cache hit never becomes a Job: the
+    /// service answers it at admission, on the calling thread, ahead of
+    /// misses admitted earlier (ExplanationService::submit_async).
     std::function<void(ExplainResponse)> on_complete;
     std::chrono::steady_clock::time_point enqueued_at;
     /// Absolute expiry derived from request.deadline_ms at admission;
@@ -152,7 +154,7 @@ public:
     /// Waits until a job is queued, `deadline` passes, or the queue is
     /// closed and drained; then pops every queued job, up to `max` (at
     /// least 1), in DWRR order.  Empty = timed out or drained.  A deadline
-    /// in the past never blocks.
+    /// in the past never blocks; time_point::max() never times out.
     [[nodiscard]] std::vector<Job> pop_batch(
         std::chrono::steady_clock::time_point deadline, std::size_t max);
 

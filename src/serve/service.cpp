@@ -197,7 +197,6 @@ ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
                                      "': " + why);
     }
     if (!config_.snapshot_path.empty()) load_snapshot();
-    heartbeat();
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
     if (!config_.snapshot_path.empty() && config_.snapshot_interval.count() > 0)
         snapshotter_ = std::jthread([this](std::stop_token stop) { snapshot_loop(stop); });
@@ -242,11 +241,6 @@ void ExplanationService::stop() {
         }
         if (!config_.snapshot_path.empty()) save_snapshot();
     });
-}
-
-void ExplanationService::heartbeat() noexcept {
-    heartbeat_ns_.store(Clock::now().time_since_epoch().count(),
-                        std::memory_order_relaxed);
 }
 
 void ExplanationService::note_stall(Clock::time_point now) const noexcept {
@@ -309,9 +303,34 @@ ExplanationService::Submission ExplanationService::submit(ExplainRequest request
 }
 
 ServeError ExplanationService::submit_async(
-    ExplainRequest request, std::function<void(ExplainResponse)> on_complete) {
+    ExplainRequest request, std::function<void(ExplainResponse)> on_complete,
+    std::optional<ExplainResponse>* hit) {
     Job job;
     ServeError reject = prepare_job(std::move(request), job);
+    // After the breaker and before the cache probe: a stopped service
+    // answers nothing, cached or not.
+    if (reject == ServeError::none && queue_.closed()) reject = ServeError::service_stopped;
+    if (reject == ServeError::none) {
+        // The admission probe counts only its hits.  A miss is queued, and
+        // the dispatcher's own probe counts it.
+        if (auto cached = job.model_entry->cache.lookup(key_for(job))) {
+            ExplainResponse r;
+            r.id = job.request.id;
+            r.ok = true;
+            r.cache_hit = true;
+            r.explanation = std::move(*cached);
+            job.model_entry->admitted.inc();
+            metrics_.inc(&ServiceStats::requests_accepted);
+            metrics_.inc(&ServiceStats::cache_hits);
+            record_completion(job, r, Clock::now());
+            note_stall(job.enqueued_at);
+            if (hit != nullptr)
+                *hit = std::move(r);
+            else
+                on_complete(std::move(r));
+            return ServeError::none;
+        }
+    }
     const std::shared_ptr<ModelEntry> entry = job.model_entry;
     const Clock::time_point admitted_at = job.enqueued_at;
     if (reject == ServeError::none) {
@@ -350,24 +369,21 @@ ExplainResponse ExplanationService::explain_sync(ExplainRequest request) {
 
 void ExplanationService::dispatcher_loop() {
     for (;;) {
-        heartbeat();
+        // Waiting for work is never a stall, so the heartbeat reads as idle
+        // until the pop returns, and is stamped once per batch.
+        heartbeat_ns_.store(kIdleHeartbeat, std::memory_order_relaxed);
+        // Work-conserving: block only until the first job, then run it with
+        // everything already queued behind it.  With no deadline, an empty
+        // pop means the queue is closed and drained.
+        std::vector<Job> batch =
+            queue_.pop_batch(Clock::time_point::max(), config_.max_batch);
+        if (batch.empty()) return;
+        heartbeat_ns_.store(Clock::now().time_since_epoch().count(),
+                            std::memory_order_relaxed);
         if (fault_fires(config_.fault_injector.get(), FaultPoint::queue_stall))
             std::this_thread::sleep_for(kFaultStall);
-        // Read before the pop: an empty pop that began on a closed queue
-        // proves it closed *and* drained, while a pop that timed out just
-        // before a push and close() proves nothing.
-        const bool closed = queue_.closed();
-        // Work-conserving: block only until the first job, then run it with
-        // everything already queued behind it.  The periodic wake-up keeps
-        // the heartbeat fresh while idle.
-        std::vector<Job> batch = queue_.pop_batch(
-            Clock::now() + std::chrono::milliseconds(50), config_.max_batch);
-        if (!batch.empty()) {
-            metrics_.queue_depth.set(queue_.size());
-            execute_batch(std::move(batch));
-        } else if (closed) {
-            return;
-        }
+        metrics_.queue_depth.set(queue_.size());
+        execute_batch(std::move(batch));
     }
 }
 
@@ -658,23 +674,28 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     }
     const auto done = Clock::now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        metrics_.service_time_us.record(elapsed_us(batch[i].enqueued_at, done));
-        metrics_.inc(&ServiceStats::requests_completed);
-        batch[i].model_entry->completed.inc();
-        batch[i].model_entry->breaker_record(config_.breaker, responses[i].ok);
-        if (responses[i].ok)
-            batch[i].model_snapshot->base_value.store(
-                responses[i].explanation.base_value, std::memory_order_relaxed);
-        if (responses[i].ok) {
-            if (responses[i].degraded) metrics_.inc(&ServiceStats::requests_degraded);
-        } else {
-            metrics_.count_error(responses[i].error_code);
-        }
+        record_completion(batch[i], responses[i], done);
         try {
             batch[i].on_complete(std::move(responses[i]));
         } catch (...) {
             // A completion channel must never take the dispatcher down.
         }
+    }
+}
+
+void ExplanationService::record_completion(const Job& job,
+                                           const ExplainResponse& response,
+                                           Clock::time_point done) {
+    metrics_.service_time_us.record(elapsed_us(job.enqueued_at, done));
+    metrics_.inc(&ServiceStats::requests_completed);
+    job.model_entry->completed.inc();
+    job.model_entry->breaker_record(config_.breaker, response.ok);
+    if (response.ok) {
+        job.model_snapshot->base_value.store(response.explanation.base_value,
+                                             std::memory_order_relaxed);
+        if (response.degraded) metrics_.inc(&ServiceStats::requests_degraded);
+    } else {
+        metrics_.count_error(response.error_code);
     }
 }
 

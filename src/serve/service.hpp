@@ -1,11 +1,14 @@
-// Online explanation service: queue -> dispatcher -> thread pool -> cache.
+// Online explanation service: admission -> cache | queue -> dispatcher ->
+// thread pool -> cache.
 //
 // Long-running, in-process front door for explanation traffic.  Producers
-// submit() ExplainRequests; a dispatcher thread waits only for the first
-// queued job, takes it with every job already queued behind it (up to
-// max_batch; serve/request_queue.hpp), and executes that batch at once as
-// one parallel_for over the shared pool, consulting the sharded LRU
-// explanation cache first.  Every stage is instrumented (serve/metrics.hpp).
+// submit() ExplainRequests.  Admission probes the sharded LRU explanation
+// cache and answers a hit on the calling thread; a miss is queued.  A
+// dispatcher thread waits only for the first queued job, takes it with every
+// job already queued behind it (up to max_batch; serve/request_queue.hpp),
+// and executes that batch at once as one parallel_for over the shared pool,
+// probing the cache again first (an entry can land between admission and
+// dispatch).  Every stage is instrumented (serve/metrics.hpp).
 //
 // Determinism contract (the serving extension of DESIGN.md section 8):
 //
@@ -44,6 +47,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -230,14 +234,21 @@ public:
     [[nodiscard]] ExplainResponse explain_sync(ExplainRequest request);
 
     /// Push-style submission for event-driven callers (the TCP front-end):
-    /// on acceptance, `on_complete` is invoked exactly once with the
-    /// response — on the dispatcher thread, in admission order —
-    /// and no future is involved.  On rejection the returned error is
-    /// non-none and `on_complete` is never called (the caller already has
-    /// everything needed to answer synchronously).  `on_complete` must not
-    /// throw and must not call back into this service.
+    /// on acceptance the response is delivered exactly once, and no future
+    /// is involved.  Checks run in a fixed order: validation, model pin,
+    /// circuit breaker, stopped service, cache probe, queue.  A cache hit
+    /// takes no queue slot, so it is answered even when the queue is full or
+    /// the model's quota is spent; it is delivered on the calling thread
+    /// before this returns — into `*hit` when the caller passes one (then
+    /// `on_complete` is never called), else through `on_complete` inline —
+    /// ahead of misses admitted earlier.  A miss is queued, and `on_complete`
+    /// runs on the dispatcher thread, in admission order among misses.  On
+    /// rejection the returned error is non-none and nothing is delivered
+    /// (the caller already has everything needed to answer synchronously).
+    /// `on_complete` must not throw and must not call back into this service.
     [[nodiscard]] ServeError submit_async(
-        ExplainRequest request, std::function<void(ExplainResponse)> on_complete);
+        ExplainRequest request, std::function<void(ExplainResponse)> on_complete,
+        std::optional<ExplainResponse>* hit = nullptr);
 
     /// Current cache epoch of the *default* model (bumped by drift-triggered
     /// invalidation; per-model epochs live in the registry entries).
@@ -301,6 +312,11 @@ private:
     /// Writes a snapshot every snapshot_interval until stop() asks it to end.
     void snapshot_loop(std::stop_token stop);
     void execute_batch(std::vector<Job> batch);
+    /// Counts one answered job, cache hit or computed: its service time from
+    /// admission to `done`, the completion, the breaker outcome, and the
+    /// snapshot's base value or the error reason.
+    void record_completion(const Job& job, const ExplainResponse& response,
+                           std::chrono::steady_clock::time_point done);
     /// Validation/resolution for submit_async(): resolves the model name,
     /// validates the payload, and stamps `job` (entry, pinned snapshot,
     /// class, timestamps).  Non-none = reject.
@@ -354,8 +370,6 @@ private:
     /// Restores each model's cache from its snapshot file when present and
     /// compatible; a missing or mismatched file starts that model cold.
     void load_snapshot();
-    /// Stamps the dispatcher heartbeat with the current time.
-    void heartbeat() noexcept;
     /// Counts a stall when, at `now`, the dispatcher heartbeat is older than
     /// kStallThreshold while jobs are queued.  Each stale heartbeat value
     /// counts once, however often it is seen.  Takes no lock unless the
@@ -385,7 +399,11 @@ private:
         std::shared_ptr<const std::vector<xnfv::xai::InteractionPair>>>
         interaction_tables_;
 
-    std::atomic<std::chrono::steady_clock::rep> heartbeat_ns_{0};
+    /// The dispatcher's heartbeat: when it took its current batch, or
+    /// kIdleHeartbeat while it waits for work (read as fresh).
+    static constexpr std::chrono::steady_clock::rep kIdleHeartbeat =
+        std::numeric_limits<std::chrono::steady_clock::rep>::max();
+    std::atomic<std::chrono::steady_clock::rep> heartbeat_ns_{kIdleHeartbeat};
     /// The heartbeat value of the last stall counted (one count per episode).
     mutable std::atomic<std::chrono::steady_clock::rep> stalled_heartbeat_ns_{0};
     std::once_flag stop_once_;

@@ -507,6 +507,22 @@ TEST(ExplanationService, LongBatchWithNothingQueuedIsNoStall) {
     EXPECT_EQ(service.stats().worker_stalls, 0u);
 }
 
+TEST(ExplanationService, SubmitAfterAnIdleSecondIsNoStall) {
+    // An idle dispatcher waits for work with no deadline, so its last stamp
+    // ages; it marks the heartbeat idle before it blocks, and the first job
+    // after a quiet second is no stall.
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    ASSERT_TRUE(service.explain_sync(request_for(1, {1.0, 2.0, 3.0})).ok);
+    std::this_thread::sleep_for(milliseconds(1100));
+    auto sub = service.submit(request_for(2, {4.0, 5.0, 6.0}));
+    ASSERT_EQ(sub.rejected, serve::ServeError::none);
+    EXPECT_EQ(service.stats().worker_stalls, 0u);
+    ASSERT_TRUE(sub.response.get().ok);
+    EXPECT_EQ(service.stats().worker_stalls, 0u);
+}
+
 // ------------------------------------------------------------ queue stall ---
 
 TEST(ExplanationService, QueueStallFaultDelaysButServes) {

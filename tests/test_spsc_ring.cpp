@@ -4,12 +4,14 @@
 //
 // Covers the boundary conditions a Lamport queue gets wrong first
 // (full/empty detection, wrap-around after many laps, capacity rounding),
-// the raise/rearm coalescing contract, and producer/consumer threads racing
-// through shutdown.  The threaded cases are the reason this suite is in the
-// CI TSan job: the release/acquire pair on head/tail is load-bearing.
+// the raise/rearm coalescing contract, producer/consumer threads racing
+// through shutdown, and a litmus test of the wake handoff itself.  The
+// threaded cases are the reason this suite is in the CI TSan job: the
+// release/acquire pair on head/tail is load-bearing.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -173,4 +175,53 @@ TEST(CoalescedWake, RaisesAreNeverLostAcrossThreads) {
     // raise() produced one; the counts can differ by at most the final
     // in-flight raise.
     EXPECT_GE(notifies.load() + 1, drains);
+}
+
+TEST(CoalescedWake, PushAndRaiseRacingRearmAndPopLoseNoWake) {
+    // The completion handoff, raced once per iteration: the producer pushes
+    // and raises while the consumer, holding a pending wake, rearms and
+    // pops.  A wake is lost when the raise found the flag still set (so it
+    // sent none) and the pop still missed the push; the item would then sit
+    // in the ring until some later completion.  With rearm() as a plain
+    // release store this loses thousands of wakes per million iterations on
+    // x86; the consumer's staggered delay spreads the two sides across the
+    // race window.
+    constexpr std::uint64_t kIterations = 1'000'000;
+    net::SpscRing<std::uint64_t> ring(4);
+    net::CoalescedWake wake;
+    std::atomic<std::uint64_t> producer_at{0}, consumer_at{0}, pushed{0};
+    std::atomic<bool> raised{false};
+    // Spins until `flag` reaches `value`, yielding so a 1-core host finishes.
+    const auto await = [](const std::atomic<std::uint64_t>& flag, std::uint64_t value) {
+        for (unsigned spins = 1; flag.load(std::memory_order_acquire) < value; ++spins)
+            if (spins % 64 == 0) std::this_thread::yield();
+    };
+    std::thread producer([&] {
+        for (std::uint64_t i = 1; i <= kIterations; ++i) {
+            producer_at.store(i, std::memory_order_release);
+            await(consumer_at, i);
+            (void)ring.try_push(std::uint64_t{i});  // empty: the consumer took i - 1
+            raised.store(wake.raise(), std::memory_order_relaxed);
+            pushed.store(i, std::memory_order_release);
+        }
+    });
+    std::uint64_t lost = 0;
+    bool in_order = true;
+    for (std::uint64_t i = 1; i <= kIterations && in_order; ++i) {
+        (void)wake.raise();  // the wake the consumer is handling
+        consumer_at.store(i, std::memory_order_release);
+        await(producer_at, i);
+        for (std::uint64_t k = i % 128; k > 0; --k)
+            std::atomic_signal_fence(std::memory_order_seq_cst);
+        wake.rearm();
+        std::uint64_t out = 0;
+        const bool popped = ring.try_pop(out);
+        await(pushed, i);
+        if (!popped && !raised.load(std::memory_order_relaxed)) ++lost;
+        in_order = (popped || ring.try_pop(out)) && out == i;
+    }
+    consumer_at.store(kIterations, std::memory_order_release);  // frees an early exit
+    producer.join();
+    EXPECT_TRUE(in_order);
+    EXPECT_EQ(lost, 0u);
 }
