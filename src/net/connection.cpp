@@ -5,11 +5,12 @@
 
 #include <array>
 #include <cerrno>
+#include <utility>
 
 namespace xnfv::net {
 
-Connection::Connection(std::uint64_t id, int fd, std::size_t max_line_bytes)
-    : decoder(max_line_bytes),
+Connection::Connection(std::uint64_t id, int fd, serve::Session::Context context)
+    : session(std::move(context)),
       last_activity(std::chrono::steady_clock::now()),
       id_(id),
       fd_(fd) {}
@@ -61,6 +62,11 @@ void Connection::queue_output(const std::string& line) {
     outbuf_.push_back('\n');
 }
 
+void Connection::pump() {
+    session.pump(outbuf_);
+    if (session.ended()) close_after_flush = true;
+}
+
 IoStatus Connection::flush() {
     while (out_off_ < outbuf_.size()) {
         std::size_t len = outbuf_.size() - out_off_;
@@ -93,62 +99,6 @@ IoStatus Connection::flush() {
     outbuf_.clear();
     out_off_ = 0;
     return IoStatus::ok;
-}
-
-std::uint64_t Connection::push_slot(Slot::Kind kind) {
-    slots_.push_back(Slot{kind, false, {}, 0});
-    return base_seq_ + slots_.size() - 1;
-}
-
-void Connection::fulfill(std::uint64_t seq, std::string line) {
-    if (seq < base_seq_) return;  // slot already popped (forced close path)
-    const auto index = seq - base_seq_;
-    if (index >= slots_.size()) return;
-    Slot& slot = slots_[index];
-    slot.ready = true;
-    slot.line = std::move(line);
-    if (slot.rid == 0) return;
-    // This slot is the original for its rid: record the completed response
-    // and answer every duplicate that attached while it was pending.
-    // Duplicate slots carry rid 0, so the recursion is one level deep.
-    const auto it = dedup_.find(slot.rid);
-    if (it == dedup_.end() || it->second.done) return;
-    it->second.done = true;
-    it->second.line = slot.line;
-    const std::vector<std::uint64_t> waiting = std::move(it->second.waiting);
-    for (const auto dup_seq : waiting) fulfill(dup_seq, it->second.line);
-}
-
-Connection::DedupVerdict Connection::dedup_admit(std::uint64_t rid, std::uint64_t seq) {
-    if (rid == 0 || dedup_window == 0) return DedupVerdict::fresh;
-    const auto [it, inserted] = dedup_.try_emplace(rid);
-    if (inserted) {
-        dedup_order_.push_back(rid);
-        // Evict the oldest *completed* records over capacity; a pending
-        // original is never dropped (its duplicates must still attach).
-        while (dedup_order_.size() > dedup_window) {
-            const auto vit = dedup_.find(dedup_order_.front());
-            if (vit != dedup_.end()) {
-                if (!vit->second.done) break;
-                dedup_.erase(vit);
-            }
-            dedup_order_.pop_front();
-        }
-        if (seq >= base_seq_ && seq - base_seq_ < slots_.size())
-            slots_[seq - base_seq_].rid = rid;
-        return DedupVerdict::fresh;
-    }
-    if (it->second.done) {
-        fulfill(seq, it->second.line);
-        return DedupVerdict::replayed;
-    }
-    it->second.waiting.push_back(seq);
-    return DedupVerdict::attached;
-}
-
-void Connection::pop_front_slot() {
-    slots_.pop_front();
-    ++base_seq_;
 }
 
 }  // namespace xnfv::net

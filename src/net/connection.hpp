@@ -1,14 +1,10 @@
 // One accepted TCP connection of the explanation server.
 //
 // A Connection owns the fd, the incremental frame decoder, the outgoing byte
-// buffer, and — the part that makes pipelining safe — an *ordered slot
-// pipeline*: every decoded frame allocates one response slot in arrival
-// order, slots are fulfilled whenever their answer is ready (synchronously
-// for rejections, asynchronously for served explanations), and bytes leave
-// the connection strictly head-of-line.  That reproduces the stdin loop's
-// "responses are printed in request order" contract over a socket, including
-// its barrier semantics: a `stats` or `quit` frame is a barrier slot that
-// only resolves once everything before it has been answered and staged.
+// buffer, and the connection's serve::Session (serve/session.hpp) — the
+// ND-JSON protocol itself: op dispatch, explain decoding, the ordered slot
+// pipeline that keeps answers in request order, and the rid retry window.
+// The same Session type serves stdin, so both transports answer alike.
 //
 // All methods are event-loop-thread-only; completions from the service's
 // dispatcher thread are marshalled onto the loop by the server before they
@@ -17,13 +13,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/chaos.hpp"
 #include "serve/ndjson.hpp"
+#include "serve/session.hpp"
 
 namespace xnfv::net {
 
@@ -37,27 +32,7 @@ enum class IoStatus : std::uint8_t {
 
 class Connection {
 public:
-    /// One pipeline entry.  `response` slots are fulfilled out of order and
-    /// drained in order; `stats` and `quit` are barriers resolved by the
-    /// server only when they reach the head of the line.
-    struct Slot {
-        enum class Kind : std::uint8_t { response, stats, quit };
-        Kind kind = Kind::response;
-        bool ready = false;
-        std::string line;  ///< rendered JSON, no trailing newline
-        /// Idempotent request id this slot's response is recorded under in
-        /// the dedup window when it completes (0 = no rid on the request).
-        std::uint64_t rid = 0;
-    };
-
-    /// Verdict of the per-connection retry-dedup window for an arriving rid.
-    enum class DedupVerdict : std::uint8_t {
-        fresh,     ///< first sighting; slot tagged, request must be computed
-        replayed,  ///< already completed; slot fulfilled from the record
-        attached,  ///< original still pending; slot fulfilled when it lands
-    };
-
-    Connection(std::uint64_t id, int fd, std::size_t max_line_bytes);
+    Connection(std::uint64_t id, int fd, serve::Session::Context context);
     ~Connection();
 
     Connection(const Connection&) = delete;
@@ -75,6 +50,11 @@ public:
     /// buffer.  Does not write to the socket — the server flushes.
     void queue_output(const std::string& line);
 
+    /// Moves every answer at the head of the session into the output buffer;
+    /// once `quit` has reached the head, the connection closes after the
+    /// flush.
+    void pump();
+
     /// Writes buffered output until done or EAGAIN.
     IoStatus flush();
 
@@ -85,38 +65,15 @@ public:
         return out_off_ == outbuf_.size();
     }
 
-    /// Allocates the next pipeline slot; returns its sequence number.
-    std::uint64_t push_slot(Slot::Kind kind);
-    /// Marks slot `seq` ready with its rendered line.  Out-of-window seqs
-    /// (already popped — possible only after a forced close) are ignored.
-    /// A slot carrying a rid records its line in the dedup window and
-    /// fulfills any duplicate slots attached while it was pending.
-    void fulfill(std::uint64_t seq, std::string line);
-
-    /// Admits slot `seq` (already pushed) under idempotent id `rid`:
-    /// either tags it as the original, replays the recorded response, or
-    /// attaches it to the still-pending original.  rid 0 is always fresh.
-    DedupVerdict dedup_admit(std::uint64_t rid, std::uint64_t seq);
-
-    [[nodiscard]] bool pipeline_empty() const noexcept { return slots_.empty(); }
-    /// Head of the pipeline, or nullptr when empty.
-    [[nodiscard]] Slot* front_slot() noexcept {
-        return slots_.empty() ? nullptr : &slots_.front();
-    }
-    void pop_front_slot();
-
     void close() noexcept;
     [[nodiscard]] bool closed() const noexcept { return fd_ < 0; }
 
     // --- server-driven state -------------------------------------------
+    serve::Session session;
     serve::LineDecoder decoder;
     std::chrono::steady_clock::time_point last_activity{};
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
-    std::uint64_t requests = 0;        ///< frames answered on this connection
-    std::uint64_t next_request_id = 1; ///< default `id` counter (stdin parity)
-    std::string default_model;         ///< session default set by `use` ("" = service default)
-    bool saw_quit = false;             ///< frames after `quit` are ignored
     bool close_after_flush = false;    ///< drop once the outbuf drains
     bool peer_eof = false;             ///< peer half-closed; finish writes, then drop
     bool lingering = false;            ///< drain FIN sent; discard input until peer EOF
@@ -126,27 +83,12 @@ public:
     /// this connection's own counters (deterministic per-stream schedule).
     NetFaultInjector* chaos = nullptr;
     NetFaultCounters fault_counters;
-    /// Retry-dedup window capacity (completed rid records retained); 0
-    /// disables the window and every rid is treated as fresh.
-    std::size_t dedup_window = 0;
 
 private:
-    /// One remembered rid: the recorded response once done, or the list of
-    /// duplicate slots waiting for the original while it is pending.
-    struct DedupEntry {
-        bool done = false;
-        std::string line;
-        std::vector<std::uint64_t> waiting;
-    };
-
     std::uint64_t id_;
     int fd_;
-    std::deque<Slot> slots_;
-    std::uint64_t base_seq_ = 0;  ///< seq of slots_.front()
     std::string outbuf_;
     std::size_t out_off_ = 0;
-    std::unordered_map<std::uint64_t, DedupEntry> dedup_;
-    std::deque<std::uint64_t> dedup_order_;  ///< insertion order for eviction
 };
 
 }  // namespace xnfv::net

@@ -2,12 +2,13 @@
 //
 // ExplanationServer bridges accepted ND-JSON frames into the existing
 // queue -> dispatcher -> cache pipeline (serve/service.hpp) and writes
-// responses back on write-ready events.  The wire format is exactly the
-// stdin loop's: serve::render_response / serve::render_stats produce the
-// bytes on both transports, and every request is still explained by a fresh
-// explainer seeded from the request's own seed — so a served-over-TCP
-// explanation is bitwise identical to the in-process (and one-shot CLI)
-// answer.  DESIGN.md section 12 describes the model in full.
+// responses back on write-ready events.  Each connection runs one
+// serve::Session (serve/session.hpp), the same protocol implementation
+// stdin is served with, so a served-over-TCP answer is byte-identical to the
+// stdin one and, by the serving determinism contract, to the one-shot CLI
+// answer.  The server itself keeps sockets, epoll, the completion ring, and
+// the idle, backpressure and drain policies.  DESIGN.md section 12
+// describes the model in full.
 //
 // Threading: one event-loop thread owns all sockets and per-connection
 // state.  A cache hit is answered at admission: submit_async hands its
@@ -52,6 +53,7 @@
 #include "net/spsc_ring.hpp"
 #include "serve/metrics.hpp"
 #include "serve/service.hpp"
+#include "serve/session.hpp"
 
 namespace xnfv::net {
 
@@ -94,8 +96,6 @@ struct ServerConfig {
     /// Accepted-connection ceiling; extra connections get one structured
     /// `backpressure` error and are closed.
     std::size_t max_connections = 256;
-    /// Per-line request cap enforced by the frame decoder.
-    std::size_t max_line_bytes = 1 << 20;
     /// Per-connection output-buffer cap: a reader this far behind is slow or
     /// half-open and is closed with a `backpressure` error.
     std::size_t max_output_bytes = 8u << 20;
@@ -116,9 +116,9 @@ struct ServerConfig {
     /// no faults.  Always compiled in — a null injector costs one pointer
     /// check per I/O call.
     std::shared_ptr<NetFaultInjector> chaos;
-    /// Per-connection retry-dedup window: completed responses remembered by
-    /// `"rid"` so a retried request replays its recorded answer instead of
-    /// recomputing.  0 disables.
+    /// Per-connection retry-dedup window (serve::Session): completed
+    /// responses remembered by `"rid"` so a retried request replays its
+    /// recorded answer instead of recomputing.  0 disables.
     std::size_t dedup_window = 1024;
 };
 
@@ -126,9 +126,8 @@ class ExplanationServer {
 public:
     /// Resolves `{"op":"explain","row":K}` requests to a feature vector;
     /// returns false when the row does not exist.  Unset = all row requests
-    /// are answered "row out of range" (same wording as the stdin loop).
-    using RowLookup =
-        std::function<bool(std::size_t row, std::vector<double>& features)>;
+    /// are answered "row out of range".
+    using RowLookup = serve::Session::RowLookup;
 
     /// The service must outlive the server and must not be stop()ped while
     /// run() is serving (drain first).
@@ -149,9 +148,9 @@ public:
         stats_provider_ = std::move(provider);
     }
 
-    /// Overrides how `{"op":"load"/"swap"/"retire"/"models"}` admin frames
-    /// are handled; returns the rendered single-line response.  The sharded
-    /// server installs a fan-out here so an admin op reaching any shard
+    /// Overrides how `stats_reset` and `load`/`swap`/`retire`/`models`
+    /// frames are handled; returns the rendered single-line response.  The
+    /// sharded server installs a fan-out here so an op reaching any shard
     /// applies to every shard's service atomically (under its admin mutex);
     /// unset, the op applies to this server's own service.  Called on the
     /// loop thread; must be thread-safe against sibling shards.
@@ -228,11 +227,10 @@ private:
     void on_conn_event(std::uint64_t conn_id, std::uint32_t events);
     void on_wake();
     void on_tick();
-    /// Parses one frame and either answers it synchronously (errors, quit)
-    /// or submits it and leaves a pending pipeline slot.
-    void handle_frame(Connection& conn, const serve::Frame& frame);
-    /// Moves every resolvable head-of-line slot into the output buffer.
-    void pump(Connection& conn);
+    /// What connection `conn_id`'s session reaches through this server: the
+    /// service, the row lookup, the stats and admin providers (or this
+    /// server's own), and the completion ring.
+    [[nodiscard]] serve::Session::Context session_context(std::uint64_t conn_id);
     /// Flushes, enforces the output cap, updates epoll interest, and closes
     /// the connection when its end conditions hold.  The reference is dead
     /// after a call that closes.

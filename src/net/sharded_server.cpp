@@ -65,22 +65,12 @@ ShardedServer::ShardedServer(std::shared_ptr<const xnfv::ml::Model> model,
             std::make_unique<serve::ExplanationService>(model, background, cfg);
         shard.server = std::make_unique<ExplanationServer>(*shard.service, net);
         shard.server->set_stats_provider([this] { return stats(); });
-        // An admin op (load/swap/retire) reaching any shard must apply to
-        // every shard's service, serialized so two concurrent ops cannot
-        // interleave half-applied fleets.
+        // An admin op (load/swap/retire) or a stats_reset reaching any shard
+        // must apply to every shard's service, serialized so two concurrent
+        // ops cannot interleave half-applied fleets.
         shard.server->set_admin_provider([this](const serve::JsonValue& req) {
             const std::lock_guard<std::mutex> lock(admin_mutex_);
-            if (req.get_string("op", "") == "stats_reset") {
-                // Fleet-wide measurement window: zero every shard's service
-                // and connection metrics under the admin lock, so a reset
-                // can never interleave with a half-applied fleet.
-                for (const auto& s : shards_) s->service->stats_reset();
-                budget_->reset_peak();
-                serve::JsonWriter w;
-                w.field("ok", true);
-                w.field("op", "stats_reset");
-                return w.finish();
-            }
+            if (req.get_string("op", "") == "stats_reset") budget_->reset_peak();
             std::vector<serve::ExplanationService*> services;
             services.reserve(shards_.size());
             for (const auto& s : shards_) services.push_back(s->service.get());

@@ -11,21 +11,14 @@ DegradationPolicy::DegradationPolicy(DegradationConfig config) : config_(config)
     if (config_.reduced_queue_depth != 0 && config_.baseline_queue_depth != 0)
         config_.baseline_queue_depth =
             std::max(config_.baseline_queue_depth, config_.reduced_queue_depth);
-    if (config_.reduced_p99_us > 0.0 && config_.baseline_p99_us > 0.0)
-        config_.baseline_p99_us = std::max(config_.baseline_p99_us, config_.reduced_p99_us);
 }
 
 DegradeLevel DegradationPolicy::classify(const Load& load) const noexcept {
-    const auto crossed = [](double value, double threshold) {
-        return threshold > 0.0 && value >= threshold;
+    const auto crossed = [&load](std::size_t threshold) {
+        return threshold != 0 && load.queue_depth >= threshold;
     };
-    const auto depth = static_cast<double>(load.queue_depth);
-    if (crossed(depth, static_cast<double>(config_.baseline_queue_depth)) ||
-        crossed(load.service_p99_us, config_.baseline_p99_us))
-        return DegradeLevel::baseline;
-    if (crossed(depth, static_cast<double>(config_.reduced_queue_depth)) ||
-        crossed(load.service_p99_us, config_.reduced_p99_us))
-        return DegradeLevel::reduced;
+    if (crossed(config_.baseline_queue_depth)) return DegradeLevel::baseline;
+    if (crossed(config_.reduced_queue_depth)) return DegradeLevel::reduced;
     return DegradeLevel::full;
 }
 

@@ -13,9 +13,8 @@
 //   baseline  — single-feature occlusion (the cheapest local attribution)
 //
 // The policy is a pure object: it maps observed load (the queue depth a
-// request saw at admission, the current service-time p99) to a level, and
-// never reads a clock or a queue itself — so every threshold is
-// unit-testable without sleeps.  Degraded results are deterministic (same
+// request saw at admission) to a level, and never reads a clock or a queue
+// itself — so every threshold is unit-testable without sleeps.  Degraded results are deterministic (same
 // seed + same level => same bytes) and are stamped with `degraded` plus the
 // budget actually used; they bypass the cache so a transient overload can
 // never pin coarse answers into it.
@@ -48,15 +47,11 @@ struct DegradationConfig {
     /// reduced_queue_depth.
     std::size_t reduced_queue_depth = 0;
     std::size_t baseline_queue_depth = 0;
-    /// Service-time p99 thresholds in microseconds; 0 disables.
-    double reduced_p99_us = 0.0;
-    double baseline_p99_us = 0.0;
     /// Sample-budget multiplier applied at `reduced` (clamped to (0, 1]).
     double reduced_budget_scale = 0.25;
 
     [[nodiscard]] bool enabled() const noexcept {
-        return reduced_queue_depth != 0 || baseline_queue_depth != 0 ||
-               reduced_p99_us > 0.0 || baseline_p99_us > 0.0;
+        return reduced_queue_depth != 0 || baseline_queue_depth != 0;
     }
 };
 
@@ -68,10 +63,9 @@ public:
 
     struct Load {
         std::size_t queue_depth = 0;  ///< depth the request saw at admission
-        double service_p99_us = 0.0;  ///< current end-to-end p99
     };
 
-    /// The most degraded rung any crossed threshold demands.
+    /// The most degraded rung a crossed threshold demands.
     [[nodiscard]] DegradeLevel classify(const Load& load) const noexcept;
 
     [[nodiscard]] const DegradationConfig& config() const noexcept { return config_; }

@@ -1,7 +1,7 @@
 // The single registry of explainer method names.
 //
 // Every place that enumerates explainers — make_explainer's dispatch,
-// known_method validation, the router's fast-path table, the CLI usage
+// request validation, the router's fast-path table, the CLI usage
 // text, ND-JSON error messages, and the per-explainer stats slices — draws
 // from this one array, so adding a method is a one-line change that cannot
 // leave a stale list behind in an error string or a --help screen.

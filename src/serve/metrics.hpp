@@ -231,12 +231,12 @@ struct ServiceStats {
     std::uint64_t connections_closed_backpressure = 0;  ///< output cap breaches
     std::uint64_t net_bytes_in = 0;
     std::uint64_t net_bytes_out = 0;
-    std::uint64_t net_requests = 0;  ///< frames answered over TCP
+    std::uint64_t net_requests = 0;  ///< frames answered; shown by the TCP server only
     double conn_requests_p50 = 0.0;  ///< per-connection request count quantiles
     double conn_requests_mean = 0.0;
     std::uint64_t conn_requests_max = 0;
     /// Resilience layer: socket-level chaos faults fired, and retried rids
-    /// answered from the per-connection dedup window.
+    /// answered from a session's dedup window.
     std::uint64_t net_faults_injected = 0;
     std::uint64_t net_retry_duplicates = 0;
 

@@ -276,7 +276,7 @@ void LineDecoder::complete_line(std::vector<Frame>& frames) {
         return;
     }
     if (line_.find_first_not_of(" \t") == std::string::npos) {
-        line_.clear();  // blank line: skipped, matching the stdin loop
+        line_.clear();  // blank line: skipped
         return;
     }
     Frame f;
@@ -308,6 +308,14 @@ std::size_t LineDecoder::feed(const char* data, std::size_t n,
         }
     }
     return frames.size() - before;
+}
+
+std::string render_error(std::uint64_t id, ServeError code, const std::string& message) {
+    ExplainResponse r;
+    r.id = id;
+    r.error_code = code;
+    r.error = message;
+    return render_response(r);
 }
 
 std::string render_response(const ExplainResponse& r) {

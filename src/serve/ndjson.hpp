@@ -1,4 +1,4 @@
-// Minimal JSON for the newline-delimited request loop of `xnfv_cli serve`.
+// Minimal JSON for the newline-delimited request protocol of `xnfv_cli serve`.
 //
 // The service speaks one flat JSON object per line in each direction; this
 // header provides just enough of RFC 8259 to parse those requests and render
@@ -77,22 +77,26 @@ struct Frame {
     std::string message;
 };
 
-/// Incremental newline-delimited frame splitter for the non-blocking TCP
-/// path, where a read() may deliver half a line, three lines, or a line
-/// split anywhere — including mid-way through a multi-byte UTF-8 sequence
-/// (bytes are buffered verbatim until the newline, so splits can never
-/// corrupt a sequence).  Hardened per the serving wire contract:
+/// The request line cap of both serving transports (TCP and stdin).
+inline constexpr std::size_t kMaxLineBytes = 1 << 20;
+
+/// Incremental newline-delimited frame splitter of every serving transport:
+/// a socket read() may deliver half a line, three lines, or a line split
+/// anywhere — including mid-way through a multi-byte UTF-8 sequence (bytes
+/// are buffered verbatim until the newline, so splits can never corrupt a
+/// sequence) — and a stream read delivers a line in pieces when it is
+/// longer than the read buffer.  Hardened per the serving wire contract:
 ///   * CRLF tolerance: one trailing '\r' before the newline is stripped;
 ///   * oversized lines: a line longer than `max_line` bytes yields exactly
 ///     one bad_request frame and the rest of that line is discarded up to
 ///     its newline (the connection survives, the request does not);
 ///   * embedded NUL bytes: rejected as bad_request (a NUL inside JSON text
 ///     is never valid and would truncate C-string handling downstream);
-///   * blank / whitespace-only lines are skipped, matching the stdin loop.
+///   * blank lines (spaces and tabs only) are skipped.
 /// Never throws; never allocates more than max_line + O(chunk) bytes.
 class LineDecoder {
 public:
-    explicit LineDecoder(std::size_t max_line = 1 << 20);
+    explicit LineDecoder(std::size_t max_line = kMaxLineBytes);
 
     /// Consumes `n` bytes from the wire and appends every completed frame
     /// to `frames`.  Returns the number of frames appended.
@@ -114,9 +118,14 @@ private:
 };
 
 /// Renders one served response as a single flat JSON object (no newline).
-/// This is THE wire format: the stdin loop and the TCP front-end both call
-/// it, so a served explanation is byte-identical on either transport.
+/// This is THE wire format every transport writes, so a served explanation
+/// is byte-identical on stdin and over TCP.
 [[nodiscard]] std::string render_response(const ExplainResponse& response);
+
+/// The error answer to request `id` (0 when the request has none): a
+/// render_response line with `ok` false, `error_code` and `error`.
+[[nodiscard]] std::string render_error(std::uint64_t id, ServeError code,
+                                       const std::string& message);
 
 /// Escapes a string for embedding inside JSON quotes ("\n" -> "\\n", ...).
 [[nodiscard]] std::string json_escape(const std::string& s);

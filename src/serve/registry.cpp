@@ -182,9 +182,8 @@ ServeError ModelRegistry::load(const std::string& name,
         set_why(why, "model '" + name + "' is already registered");
         return ServeError::bad_request;
     }
-    auto entry = std::make_shared<ModelEntry>(name, next_class_++,
-                                              config_.cache_capacity,
-                                              config_.cache_shards);
+    auto entry = std::make_shared<ModelEntry>(name, next_class_++, config_.cache_capacity,
+                                              kCacheShards);
     entry->weight.store(std::max<std::size_t>(1, weight), std::memory_order_relaxed);
     entry->quota.store(quota, std::memory_order_relaxed);
     entry->publish(std::move(snap));
@@ -268,23 +267,18 @@ std::size_t ModelRegistry::classes_created() const {
     return next_class_;
 }
 
-namespace {
-
-[[nodiscard]] std::string admin_error(ServeError code, const std::string& message) {
-    ExplainResponse r;
-    r.id = 0;
-    r.ok = false;
-    r.error_code = code;
-    r.error = message;
-    return render_response(r);
-}
-
-}  // namespace
-
 std::string handle_model_admin(const JsonValue& request,
                                const std::vector<ExplanationService*>& services) {
     const auto op = request.get_string("op", "");
-    if (services.empty()) return admin_error(ServeError::internal_error, "no services");
+    if (services.empty()) return render_error(0, ServeError::internal_error, "no services");
+
+    if (op == "stats_reset") {
+        for (ExplanationService* service : services) service->stats_reset();
+        JsonWriter w;
+        w.field("ok", true);
+        w.field("op", "stats_reset");
+        return w.finish();
+    }
 
     if (op == "models") {
         const auto stats = services.front()->stats();
@@ -313,7 +307,7 @@ std::string handle_model_admin(const JsonValue& request,
         std::string why;
         for (ExplanationService* service : services) {
             const auto err = service->model_retire(name, &why);
-            if (err != ServeError::none) return admin_error(err, why);
+            if (err != ServeError::none) return render_error(0, err, why);
         }
         JsonWriter w;
         w.field("ok", true);
@@ -323,17 +317,17 @@ std::string handle_model_admin(const JsonValue& request,
     }
 
     if (op != "load" && op != "swap")
-        return admin_error(ServeError::bad_request, "unknown admin op '" + op + "'");
+        return render_error(0, ServeError::bad_request, "unknown admin op '" + op + "'");
 
     const auto path = request.get_string("model", "");
     if (path.empty())
-        return admin_error(ServeError::bad_request,
+        return render_error(0, ServeError::bad_request,
                            "'" + op + "' needs a \"model\" file path");
     std::shared_ptr<const ml::Model> model;
     try {
         model = ml::load_model_file(path);
     } catch (const std::exception& e) {
-        return admin_error(ServeError::bad_request,
+        return render_error(0, ServeError::bad_request,
                            "cannot load model '" + path + "': " + e.what());
     }
 
@@ -345,7 +339,7 @@ std::string handle_model_admin(const JsonValue& request,
             static_cast<std::size_t>(request.get_number("quota", 0.0));
         for (ExplanationService* service : services) {
             const auto err = service->model_load(name, model, weight, quota, &why);
-            if (err != ServeError::none) return admin_error(err, why);
+            if (err != ServeError::none) return render_error(0, err, why);
         }
         JsonWriter w;
         w.field("ok", true);
@@ -360,7 +354,7 @@ std::string handle_model_admin(const JsonValue& request,
 
     for (ExplanationService* service : services) {
         const auto err = service->model_swap(name, model, &why);
-        if (err != ServeError::none) return admin_error(err, why);
+        if (err != ServeError::none) return render_error(0, err, why);
     }
     JsonWriter w;
     w.field("ok", true);

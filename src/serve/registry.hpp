@@ -216,11 +216,13 @@ private:
     std::shared_ptr<const ModelSnapshot> current_;
 };
 
+/// Independent LRU lists in each registered model's cache slice.
+inline constexpr std::size_t kCacheShards = 8;
+
 /// Registry construction knobs (derived from ServiceConfig).
 struct RegistryConfig {
-    /// Cache geometry of each per-model slice.
+    /// Entries in each per-model cache slice.
     std::size_t cache_capacity = 4096;
-    std::size_t cache_shards = 8;
     /// Chaos seam: when the injector arms predict_throw, every published
     /// snapshot's serving model is fault-wrapped.
     std::shared_ptr<FaultInjector> fault_injector;
@@ -279,12 +281,13 @@ private:
     std::size_t next_class_ = 0;
 };
 
-/// Shared handler for the `load` / `swap` / `retire` / `models` admin ops:
-/// parses the request object, applies the operation to every service in
-/// `services` (all shards of a sharded server, or just one), and returns the
-/// rendered single-line ND-JSON response.  Model files are loaded from disk
-/// once and shared across services.  Callers serialize concurrent admin ops
-/// (the sharded server holds its admin mutex across the fan-out).
+/// The one handler of `stats_reset` and the `load` / `swap` / `retire` /
+/// `models` admin ops: parses the request object, applies the operation to
+/// every service in `services` (all shards of a sharded server, or just one),
+/// and returns the rendered single-line ND-JSON response.  Model files are
+/// loaded from disk once and shared across services.  Callers serialize
+/// concurrent admin ops (the sharded server holds its admin mutex across the
+/// fan-out).
 [[nodiscard]] std::string handle_model_admin(
     const JsonValue& request, const std::vector<ExplanationService*>& services);
 

@@ -156,22 +156,17 @@ std::unique_ptr<xai::Explainer> make_explainer(const std::string& method,
                              explainer_list_with_auto() + ")");
 }
 
-bool known_method(const std::string& method) noexcept {
-    return known_explainer(method);
-}
-
 ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
                                        xai::BackgroundData background,
                                        ServiceConfig config)
     : background_(std::move(background)),
       config_(std::move(config)),
       background_fingerprint_(background_fingerprint(background_)),
-      registry_(RegistryConfig{config_.cache_capacity, config_.cache_shards,
-                              config_.fault_injector},
+      registry_(RegistryConfig{config_.cache_capacity, config_.fault_injector},
                 &background_),
       queue_(config_.queue_depth),
       degrade_(config_.degradation) {
-    if (config_.method != kAutoMethod && !known_method(config_.method))
+    if (config_.method != kAutoMethod && !known_explainer(config_.method))
         throw std::runtime_error("unknown method '" + config_.method +
                                  "' (expected " + explainer_list_with_auto() + ")");
     // Cache-key fingerprints of the fast-path explainer configs: the
@@ -263,7 +258,7 @@ ServeError ExplanationService::prepare_job(ExplainRequest request, Job& job) {
     std::shared_ptr<const ModelSnapshot> snapshot = entry->current();
     if (request.features.size() != snapshot->model->num_features() ||
         (!request.method.empty() && request.method != kAutoMethod &&
-         !known_method(request.method)))
+         !known_explainer(request.method)))
         return ServeError::bad_request;
     if (std::any_of(request.features.begin(), request.features.end(),
                     [](double v) { return !std::isfinite(v); }))
@@ -574,7 +569,6 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     metrics_.batch_size.record(batch.size());
 
     const Clock::time_point batch_now = Clock::now();  // one clock read per batch
-    const double p99 = metrics_.service_time_us.quantile(0.99);
 
     // Phase 1 — deadline triage, degradation classification, and the cache
     // probe, in admission order so hit/miss accounting (and duplicate
@@ -607,7 +601,7 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
             continue;
         }
         if (degrade_.enabled())
-            levels[i] = degrade_.classify({batch[i].depth_at_enqueue, p99});
+            levels[i] = degrade_.classify({batch[i].depth_at_enqueue});
         auto& level_inflight = inflight[static_cast<std::size_t>(levels[i])];
         if (auto cached = batch[i].model_entry->cache.lookup(keys[i])) {
             responses[i].ok = true;
@@ -750,7 +744,7 @@ void ExplanationService::observe_attributions(
     metrics_.inc(&ServiceStats::drift_checks);
     try {
         const auto report =
-            xai::attribution_drift(reference, current, config_.drift_thresholds);
+            xai::attribution_drift(reference, current);
         if (report.drifted) {
             entry.epoch.fetch_add(1, std::memory_order_relaxed);
             metrics_.inc(&ServiceStats::drift_flushes);

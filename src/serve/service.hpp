@@ -104,10 +104,6 @@ struct ExplainerLimits {
                                              const xnfv::xai::BackgroundData& background,
                                              std::size_t ig_steps = 50);
 
-/// True when `method` names a supported explainer ("auto" is a routing
-/// pseudo-method, accepted at request validation but never here).
-[[nodiscard]] bool known_method(const std::string& method) noexcept;
-
 /// One additional model to register at construction (beyond the default
 /// model the constructor takes directly).
 struct ModelSpec {
@@ -146,11 +142,11 @@ struct ServiceConfig {
     /// to fill a batch: it runs whatever is queued, so batches grow only
     /// under backlog.
     std::size_t max_batch = 16;
-    /// LRU cache geometry.  quantum == 0 keys on exact feature bit patterns
-    /// (lossless: hits only for true repeats); quantum > 0 buckets features
-    /// to that grid, trading bitwise fidelity for hit rate.
+    /// LRU cache geometry (each model's slice spreads over kCacheShards
+    /// lists).  quantum == 0 keys on exact feature bit patterns (lossless:
+    /// hits only for true repeats); quantum > 0 buckets features to that
+    /// grid, trading bitwise fidelity for hit rate.
     std::size_t cache_capacity = 4096;
-    std::size_t cache_shards = 8;
     double cache_quantum = 0.0;
     /// Worker threads for batch execution (0 = xnfv::default_threads()).
     std::size_t threads = 0;
@@ -168,11 +164,11 @@ struct ServiceConfig {
 
     /// Drift-triggered cache invalidation: after `drift_window` reference
     /// explanations are accumulated, every subsequent window of the same
-    /// size is compared against it (core/drift.hpp); crossing a threshold
-    /// bumps the cache epoch, so every key misses once and is recomputed
-    /// against the drifted traffic.  0 disables monitoring.
+    /// size is compared against it (core/drift.hpp, default thresholds);
+    /// crossing a threshold bumps the cache epoch, so every key misses once
+    /// and is recomputed against the drifted traffic.  0 disables
+    /// monitoring.
     std::size_t drift_window = 0;
-    xnfv::xai::DriftThresholds drift_thresholds;
 
     /// Chaos-testing seam: null (the default) injects nothing and costs one
     /// pointer check per poll point.

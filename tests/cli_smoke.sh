@@ -72,6 +72,27 @@ sed 's/"cache_hit":[a-z]*/"cache_hit":_/' "$DIR/serve4.out" > "$DIR/serve4.norm"
 sed 's/"cache_hit":[a-z]*/"cache_hit":_/' "$DIR/serve5.out" > "$DIR/serve5.norm"
 cmp -s "$DIR/serve4.norm" "$DIR/serve5.norm"
 
+# The stdin window: a producer far ahead of the service must not overrun the
+# admission queue.  1000 misses (each line carries its own seed) read from a
+# regular file are all answered ok, in order, with default ids 1..1000.
+"$CLI" train --data "$DIR/data.csv" --model rf --out "$DIR/rf.xnfv"
+i=0
+while [ $i -lt 1000 ]; do
+  echo "{\"op\":\"explain\",\"row\":$((i % 300)),\"method\":\"occlusion\",\"seed\":$((i + 1))}"
+  i=$((i + 1))
+done > "$DIR/window.in"
+"$CLI" serve --model "$DIR/rf.xnfv" --data "$DIR/data.csv" --threads 2 \
+    < "$DIR/window.in" > "$DIR/window.out"
+python3 - "$DIR/window.out" <<'EOF'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+assert len(lines) == 1000, len(lines)
+for want, line in enumerate(lines, 1):
+    assert "queue_full" not in line, line
+    r = json.loads(line)
+    assert r["ok"] is True and r["id"] == want, line
+EOF
+
 # Serving over TCP: background `serve --listen 0`, probe it with netprobe,
 # then SIGTERM for a graceful drain.  The TCP answer for the same request
 # must be byte-identical to the stdin-served one (modulo cache_hit).

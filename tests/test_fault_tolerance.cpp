@@ -155,7 +155,7 @@ TEST(ExplainerLimits, ReducedBudgetIsDeterministicAndDiffersFromFull) {
 TEST(DegradationPolicy, DisabledByDefault) {
     serve::DegradationPolicy policy;
     EXPECT_FALSE(policy.enabled());
-    EXPECT_EQ(policy.classify({1000, 1e9}), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify({1000}), serve::DegradeLevel::full);
 }
 
 TEST(DegradationPolicy, ClassifiesByQueueDepth) {
@@ -164,31 +164,21 @@ TEST(DegradationPolicy, ClassifiesByQueueDepth) {
     cfg.baseline_queue_depth = 8;
     serve::DegradationPolicy policy(cfg);
     EXPECT_TRUE(policy.enabled());
-    EXPECT_EQ(policy.classify({0, 0.0}), serve::DegradeLevel::full);
-    EXPECT_EQ(policy.classify({3, 0.0}), serve::DegradeLevel::full);
-    EXPECT_EQ(policy.classify({4, 0.0}), serve::DegradeLevel::reduced);
-    EXPECT_EQ(policy.classify({7, 0.0}), serve::DegradeLevel::reduced);
-    EXPECT_EQ(policy.classify({8, 0.0}), serve::DegradeLevel::baseline);
-    EXPECT_EQ(policy.classify({100, 0.0}), serve::DegradeLevel::baseline);
-}
-
-TEST(DegradationPolicy, ClassifiesByServiceP99) {
-    serve::DegradationConfig cfg;
-    cfg.reduced_p99_us = 1000.0;
-    cfg.baseline_p99_us = 10000.0;
-    serve::DegradationPolicy policy(cfg);
-    EXPECT_EQ(policy.classify({0, 999.0}), serve::DegradeLevel::full);
-    EXPECT_EQ(policy.classify({0, 1000.0}), serve::DegradeLevel::reduced);
-    EXPECT_EQ(policy.classify({0, 10000.0}), serve::DegradeLevel::baseline);
+    EXPECT_EQ(policy.classify({0}), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify({3}), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify({4}), serve::DegradeLevel::reduced);
+    EXPECT_EQ(policy.classify({7}), serve::DegradeLevel::reduced);
+    EXPECT_EQ(policy.classify({8}), serve::DegradeLevel::baseline);
+    EXPECT_EQ(policy.classify({100}), serve::DegradeLevel::baseline);
 }
 
 TEST(DegradationPolicy, MostDegradedRungWins) {
     serve::DegradationConfig cfg;
     cfg.reduced_queue_depth = 4;
-    cfg.baseline_p99_us = 5000.0;
+    cfg.baseline_queue_depth = 6;
     serve::DegradationPolicy policy(cfg);
-    // Depth says reduced, p99 says baseline -> baseline.
-    EXPECT_EQ(policy.classify({6, 9000.0}), serve::DegradeLevel::baseline);
+    // Depth crosses both rungs -> baseline.
+    EXPECT_EQ(policy.classify({6}), serve::DegradeLevel::baseline);
 }
 
 TEST(DegradationPolicy, OrdersInvertedThresholds) {
@@ -197,7 +187,7 @@ TEST(DegradationPolicy, OrdersInvertedThresholds) {
     cfg.baseline_queue_depth = 2;  // below reduced: would shadow it
     serve::DegradationPolicy policy(cfg);
     EXPECT_EQ(policy.config().baseline_queue_depth, 10u);
-    EXPECT_EQ(policy.classify({5, 0.0}), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify({5}), serve::DegradeLevel::full);
 }
 
 TEST(ExplanationService, DegradesUnderQueueDepthAndNeverCachesDegraded) {

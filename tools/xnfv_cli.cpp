@@ -46,6 +46,7 @@
 #include "serve/ndjson.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
+#include "serve/session.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace ml = xnfv::ml;
@@ -147,9 +148,10 @@ int usage() {
         "            event-loop+service shards (0 = hardware concurrency;\n"
         "            --max-conns stays a fleet-wide limit and responses are\n"
         "            byte-identical at any shard count)\n"
-        "            [--dedup-window N]   per-connection idempotent-retry\n"
-        "            window: a re-sent \"rid\" is answered from the recorded\n"
-        "            response instead of recomputed (0 disables)\n"
+        "            [--dedup-window N]   per-session (stdin, or each\n"
+        "            connection) idempotent-retry window: a re-sent \"rid\"\n"
+        "            is answered from the recorded response instead of\n"
+        "            recomputed (0 disables)\n"
         "            [--breaker-threshold R] [--breaker-window N]\n"
         "            [--breaker-cooldown-ms M]   per-tenant circuit breaker:\n"
         "            a model whose compute error rate over a full window\n"
@@ -175,7 +177,10 @@ int usage() {
         "              {\"op\":\"retire\",\"name\":\"b\"}   {\"op\":\"models\"}\n"
         "              {\"op\":\"use\",\"model\":\"b\"}   set this session's\n"
         "              default model for later explain lines\n"
-        "            responses are printed in request order\n"
+        "            answers come back in request order, each as soon as\n"
+        "            it and every earlier answer are ready; stdin keeps at\n"
+        "            most 64 requests outstanding, and stdin and TCP answer\n"
+        "            every op alike (stdin stats has no net_* keys)\n"
         "  netprobe  --port P [--host A] [--row K | --features \"v1,v2,...\"]\n"
         "            [--method M] [--model-name NAME] [--seed S]\n"
         "            [--deadline-ms D] [--count N] [--stats] [--quit]\n"
@@ -383,11 +388,8 @@ extern "C" void serve_signal_handler(int) {
     if (auto* server = g_drain_target.load()) server->request_drain();
 }
 
-/// Newline-delimited-JSON request loop on stdin/stdout, or — with --listen —
-/// the same protocol served over TCP.  Explain requests are submitted
-/// asynchronously (so requests queued behind a busy dispatcher share a
-/// batch) and answered in request order; `stats`/`quit` first drain
-/// everything pending.
+/// The ND-JSON serving protocol (serve/session.hpp) on stdin/stdout, or —
+/// with --listen — over TCP.  Answers come back in request order.
 int cmd_serve(const Args& args) {
     const auto data = ml::read_csv_file(args.require("data"), task_from(args, "clf"));
 
@@ -499,10 +501,18 @@ int cmd_serve(const Args& args) {
         model = ml::load_model_file(args.require("model"));
     }
 
+    const auto rows = [&data](std::size_t row, std::vector<double>& features) {
+        if (row >= data.size()) return false;
+        const auto x = data.x.row(row);
+        features.assign(x.begin(), x.end());
+        return true;
+    };
+    const auto dedup_window = static_cast<std::size_t>(args.get_int("dedup-window", 1024));
+
     // --listen: serve the same protocol over TCP instead of stdin/stdout,
     // thread-per-core sharded (--shards N, 0 = hardware concurrency).  The
-    // sharded server owns one service per shard, so the stdin-loop service
-    // below is only built for the stdin path.
+    // sharded server owns one service per shard, so the stdin service below
+    // is only built for the stdin path.
     if (args.has("listen")) {
         xnfv::net::ShardedServerConfig shcfg;
         shcfg.net.host = args.get("host", "127.0.0.1");
@@ -514,8 +524,7 @@ int cmd_serve(const Args& args) {
         shcfg.net.max_output_bytes =
             static_cast<std::size_t>(args.get_int("max-output", 8 << 20));
         shcfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
-        shcfg.net.dedup_window =
-            static_cast<std::size_t>(args.get_int("dedup-window", 1024));
+        shcfg.net.dedup_window = dedup_window;
 
         // Network-layer chaos: any nonzero rate arms a seeded socket fault
         // injector shared by every shard (fires are fleet-global counters).
@@ -545,13 +554,7 @@ int cmd_serve(const Args& args) {
 
         xnfv::net::ShardedServer server(model, xai::BackgroundData(data.x, 128),
                                         cfg, shcfg);
-        server.set_row_lookup(
-            [&data](std::size_t row, std::vector<double>& features) {
-                if (row >= data.size()) return false;
-                const auto x = data.x.row(row);
-                features.assign(x.begin(), x.end());
-                return true;
-            });
+        server.set_row_lookup(rows);
         std::string err;
         if (!server.start(&err)) {
             std::fprintf(stderr, "error: %s\n", err.c_str());
@@ -576,140 +579,7 @@ int cmd_serve(const Args& args) {
     }
 
     serve::ExplanationService service(model, xai::BackgroundData(data.x, 128), cfg);
-
-    std::vector<std::future<serve::ExplainResponse>> pending;
-    const auto drain = [&pending] {
-        for (auto& f : pending)
-            std::printf("%s\n", serve::render_response(f.get()).c_str());
-        pending.clear();
-        std::fflush(stdout);
-    };
-    const auto print_error = [&drain](std::uint64_t id, serve::ServeError code,
-                                      const std::string& message) {
-        drain();  // keep responses in request order
-        serve::ExplainResponse r;
-        r.id = id;
-        r.error_code = code;
-        r.error = message;
-        std::printf("%s\n", serve::render_response(r).c_str());
-        std::fflush(stdout);
-    };
-
-    std::uint64_t next_id = 1;
-    std::string session_model;  // set by {"op":"use"}; "" = server default
-    std::string line;
-    while (std::getline(std::cin, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        serve::JsonValue req;
-        try {
-            req = serve::parse_json(line);
-        } catch (const std::exception& e) {
-            print_error(0, serve::ServeError::bad_request, e.what());
-            continue;
-        }
-        const auto op = req.get_string("op", "explain");
-        if (op == "quit") break;
-        if (op == "stats") {
-            drain();  // complete in-flight requests so the snapshot covers them
-            std::printf("%s\n", serve::render_stats(service.stats()).c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        if (op == "stats_reset") {
-            drain();  // reset after everything already admitted completed
-            service.stats_reset();
-            serve::JsonWriter w;
-            w.field("ok", true);
-            w.field("op", "stats_reset");
-            std::printf("%s\n", w.finish().c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        if (op == "load" || op == "swap" || op == "retire" || op == "models") {
-            drain();  // admin lands after everything already admitted
-            std::printf("%s\n", serve::handle_model_admin(req, {&service}).c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        if (op == "use") {
-            drain();  // keep responses in request order
-            const auto name = req.get_string("model", "");
-            if (!service.feature_dim(name)) {
-                print_error(0, serve::ServeError::unknown_model,
-                            "unknown model '" + name + "'");
-                continue;
-            }
-            session_model = name;
-            serve::JsonWriter w;
-            w.field("ok", true);
-            w.field("op", "use");
-            w.field("model", name);
-            std::printf("%s\n", w.finish().c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        if (op != "explain") {
-            print_error(0, serve::ServeError::bad_request, "unknown op '" + op + "'");
-            continue;
-        }
-
-        serve::ExplainRequest er;
-        er.id = static_cast<std::uint64_t>(
-            req.get_number("id", static_cast<double>(next_id)));
-        ++next_id;
-        er.method = req.get_string("method", "");
-        er.model = req.get_string("model", session_model);
-        er.seed = static_cast<std::uint64_t>(req.get_number("seed", 0));
-        er.deadline_ms = static_cast<std::int64_t>(req.get_number("deadline_ms", -1));
-        if (const double k = req.get_number("interactions", 0); k > 0)
-            er.interactions = static_cast<std::size_t>(k);
-        const auto dim = service.feature_dim(er.model);
-        if (!dim) {
-            print_error(er.id, serve::ServeError::unknown_model,
-                        "unknown model '" + er.model + "'");
-            continue;
-        }
-        if (!er.method.empty() && er.method != serve::kAutoMethod &&
-            !serve::known_explainer(er.method)) {
-            print_error(er.id, serve::ServeError::bad_request,
-                        "unknown method '" + er.method + "' (expected " +
-                            serve::explainer_list_with_auto() + ")");
-            continue;
-        }
-        if (req.has("features")) {
-            auto extracted = serve::extract_features(req, *dim);
-            if (extracted.error != serve::ServeError::none) {
-                print_error(er.id, extracted.error, extracted.message);
-                continue;
-            }
-            er.features = std::move(extracted.features);
-        } else if (req.has("row")) {
-            const auto row = static_cast<std::size_t>(req.get_number("row", 0));
-            if (row >= data.size()) {
-                print_error(er.id, serve::ServeError::bad_request, "row out of range");
-                continue;
-            }
-            const auto x = data.x.row(row);
-            er.features.assign(x.begin(), x.end());
-        } else {
-            print_error(er.id, serve::ServeError::bad_request,
-                        "explain needs \"row\" or \"features\"");
-            continue;
-        }
-
-        const std::uint64_t id = er.id;
-        auto sub = service.submit(std::move(er));
-        if (sub.rejected != serve::ServeError::none) {
-            print_error(id, sub.rejected,
-                        std::string("rejected: ") + to_string(sub.rejected));
-            continue;
-        }
-        pending.push_back(std::move(sub.response));
-        // Bounded client window: flush periodically so a socketless pipe
-        // producer cannot outrun the queue.
-        if (pending.size() >= 64) drain();
-    }
-    drain();
+    serve::serve_stream(std::cin, std::cout, service, rows, dedup_window);
     service.stop();
     return 0;
 }
