@@ -175,10 +175,10 @@ int main(int argc, char** argv) {
             cfg.max_batch = 16;
             cfg.cache_capacity = 8192;
 
-            net::ShardedServerConfig shcfg;
-            shcfg.net.max_connections = conns + 64;
-            shcfg.shards = shards;
-            net::ShardedServer server(forest, background, cfg, shcfg);
+            net::ServerConfig ncfg;
+            ncfg.max_connections = conns + 64;
+            ncfg.shards = shards;
+            net::ShardedServer server(forest, background, cfg, ncfg);
             server.set_row_lookup(
                 [&task](std::size_t row, std::vector<double>& features) {
                     if (row >= task.train.size()) return false;

@@ -142,16 +142,16 @@ int main(int argc, char** argv) {
         cfg.max_batch = 16;
         cfg.cache_capacity = 8192;
 
-        net::ShardedServerConfig shcfg;
-        shcfg.shards = 2;
-        shcfg.net.max_connections = conns + 64;
+        net::ServerConfig ncfg;
+        ncfg.shards = 2;
+        ncfg.max_connections = conns + 64;
         net::NetFaultInjector::Config nf;
         nf.seed = 0x5e4f;
         nf.rate[static_cast<std::size_t>(spec.point)] = spec.rate;
         nf.max_fires[static_cast<std::size_t>(spec.point)] = spec.max_fires;
         const auto chaos = std::make_shared<net::NetFaultInjector>(nf);
-        shcfg.net.chaos = chaos;
-        net::ShardedServer server(forest, background, cfg, shcfg);
+        ncfg.chaos = chaos;
+        net::ShardedServer server(forest, background, cfg, ncfg);
         server.set_row_lookup(
             [&task](std::size_t row, std::vector<double>& features) {
                 if (row >= task.train.size()) return false;

@@ -81,11 +81,11 @@ int main(int argc, char** argv) {
     cfg.drift_window = 32;
 
     const auto run_cell = [&](const std::string& scenario) {
-        net::ShardedServerConfig shcfg;
-        shcfg.shards = 2;
-        shcfg.net.max_connections = conns + 16;
+        net::ServerConfig ncfg;
+        ncfg.shards = 2;
+        ncfg.max_connections = conns + 16;
         net::ShardedServer server(forest, xai::BackgroundData(built.data.x, 64),
-                                  cfg, shcfg);
+                                  cfg, ncfg);
         std::string error;
         if (!server.start(&error)) {
             std::fprintf(stderr, "server start failed: %s\n", error.c_str());

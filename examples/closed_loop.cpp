@@ -48,10 +48,10 @@ int main() {
     cfg.degradation.reduced_queue_depth = 32;
     cfg.degradation.baseline_queue_depth = 64;
     cfg.drift_window = 16;
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 2;
+    net::ServerConfig ncfg;
+    ncfg.shards = 2;
     net::ShardedServer server(model, xai::BackgroundData(built.data.x, 64), cfg,
-                              shcfg);
+                              ncfg);
     std::string error;
     if (!server.start(&error)) {
         std::fprintf(stderr, "server start failed: %s\n", error.c_str());

@@ -89,11 +89,6 @@ struct ConnReport {
 struct LoadReport {
     std::vector<ConnReport> conns;  ///< index-aligned with the scripts
     bool timed_out = false;
-    [[nodiscard]] std::uint64_t total_lines() const noexcept {
-        std::uint64_t n = 0;
-        for (const auto& c : conns) n += c.lines.size();
-        return n;
-    }
 };
 
 /// One explain request for script building.  Exactly one of `row` (>= 0) or

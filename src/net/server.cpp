@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "serve/registry.hpp"
+#include "net/sharded_server.hpp"
 
 namespace xnfv::net {
 
@@ -25,13 +25,11 @@ constexpr std::chrono::milliseconds kDrainPoll{20};
 
 }  // namespace
 
-ExplanationServer::ExplanationServer(serve::ExplanationService& service,
-                                     ServerConfig config)
-    : service_(service),
-      config_(std::move(config)),
-      budget_(config_.budget
-                  ? config_.budget
-                  : std::make_shared<ConnectionBudget>(config_.max_connections)),
+ExplanationServer::ExplanationServer(ShardedServer& fleet,
+                                     serve::ExplanationService& service)
+    : fleet_(fleet),
+      config_(fleet.config_),
+      service_(service),
       // In-flight completions are bounded by what the service has admitted,
       // so a ring this size makes the overflow spill path cold.
       channel_(std::make_shared<CompletionChannel>(
@@ -51,17 +49,12 @@ ExplanationServer::~ExplanationServer() {
     listener_.close();
 }
 
-bool ExplanationServer::start(std::string* error) {
+bool ExplanationServer::start(std::uint16_t port, std::string* error) {
     if (!loop_.ok()) {
         if (error) *error = "event loop initialization failed (epoll/eventfd)";
         return false;
     }
-    return listener_.listen(config_.host, config_.port, error, config_.reuseport);
-}
-
-bool ExplanationServer::bind_port(std::uint16_t port, std::string* error) {
-    config_.port = port;
-    return start(error);
+    return listener_.listen(config_.host, port, error, fleet_.shards() > 1);
 }
 
 void ExplanationServer::run() {
@@ -96,7 +89,7 @@ void ExplanationServer::on_accept() {
     for (;;) {
         const int fd = listener_.accept();
         if (fd < 0) return;
-        if (!budget_->try_acquire()) {
+        if (!fleet_.budget_.try_acquire()) {
             const auto line =
                 serve::render_error(0, serve::ServeError::backpressure,
                                   "connection limit reached") +
@@ -202,16 +195,12 @@ void ExplanationServer::on_tick() {
 serve::Session::Context ExplanationServer::session_context(std::uint64_t conn_id) {
     return {
         .service = service_,
-        .rows = [this](std::size_t row, std::vector<double>& features) {
-            return row_lookup_ && row_lookup_(row, features);
-        },
-        // In a sharded server the providers report the fleet and fan admin
-        // ops out to every shard.
-        .stats = [this] { return stats_provider_ ? stats_provider_() : stats(); },
-        .admin = [this](const serve::JsonValue& request) {
-            if (admin_provider_) return admin_provider_(request);
-            if (request.get_string("op", "") == "stats_reset") budget_->reset_peak();
-            return serve::handle_model_admin(request, {&service_});
+        .rows = fleet_.row_lookup_,
+        // Any connection reports the whole fleet, and its admin ops reach
+        // every shard's service.
+        .stats = [&fleet = fleet_] { return fleet.stats(); },
+        .admin = [&fleet = fleet_](const serve::JsonValue& request) {
+            return fleet.admin(request);
         },
         // Dispatcher thread: render (pure) and marshal onto the loop over the
         // lock-free ring; the eventfd write is coalesced per drain.
@@ -271,7 +260,7 @@ void ExplanationServer::close_conn(Connection& conn) {
     loop_.remove(conn.fd());
     conn.close();
     conns_.erase(conn.id());  // destroys conn; the reference is dead here
-    budget_->release();
+    fleet_.budget_.release();
     if (draining_ && conns_.empty()) loop_.stop();
 }
 
@@ -341,17 +330,6 @@ void ExplanationServer::drain_completions() {
         it->second->pump();
         flush_and_update(*it->second);  // may close this connection
     }
-}
-
-serve::ServiceStats ExplanationServer::stats() const {
-    auto s = service_.stats();
-    s.net_enabled = true;
-    s.net_shards = 1;
-    s.connections_active = budget_->active.load(std::memory_order_relaxed);
-    s.connections_active_max = budget_->peak.load(std::memory_order_relaxed);
-    if (config_.chaos) s.net_faults_injected = config_.chaos->total_fired();
-    s.derive();  // mirrors the net counts into errors_by_reason
-    return s;
 }
 
 }  // namespace xnfv::net

@@ -1,29 +1,32 @@
-// TCP front-end for the explanation service.
+// One shard of the TCP front-end (net/sharded_server.hpp).
 //
-// ExplanationServer bridges accepted ND-JSON frames into the existing
+// ExplanationServer bridges accepted ND-JSON frames into its shard's
 // queue -> dispatcher -> cache pipeline (serve/service.hpp) and writes
 // responses back on write-ready events.  Each connection runs one
 // serve::Session (serve/session.hpp), the same protocol implementation
 // stdin is served with, so a served-over-TCP answer is byte-identical to the
 // stdin one and, by the serving determinism contract, to the one-shot CLI
-// answer.  The server itself keeps sockets, epoll, the completion ring, and
+// answer.  The shard itself keeps sockets, epoll, the completion ring, and
 // the idle, backpressure and drain policies.  DESIGN.md section 12
 // describes the model in full.
 //
-// Threading: one event-loop thread owns all sockets and per-connection
-// state.  A cache hit is answered at admission: submit_async hands its
-// response straight back to the loop thread, which renders it and fulfils
-// the connection's slot in the same callback that read the request.  A miss
-// completes on the service's dispatcher thread, through a submit_async
-// callback that renders the response line (a pure function) and hands
-// (connection, slot, line) to the loop through a lock-free SPSC completion
-// ring (net/spsc_ring.hpp) plus a coalesced eventfd wake; the dispatcher is
-// the ring's only producer.  The dispatcher never touches a socket, and the
-// data path never takes a lock.  An idle loop sleeps in epoll_wait with no
-// timeout unless `idle_timeout` is set or a drain is under way.
-// One server is one shard of the thread-per-core ShardedServer
-// (net/sharded_server.hpp); run standalone it is the single-loop server of
-// DESIGN.md section 12.
+// Only the fleet (ShardedServer) builds a shard, and a shard calls its fleet
+// directly for everything fleet-wide: the settings, the row lookup, the
+// connection budget, what a `stats` frame reports, and the admin ops and
+// `stats_reset` that every shard's service must see.
+//
+// Threading: one event-loop thread owns all of the shard's sockets and
+// per-connection state.  A cache hit is answered at admission: submit_async
+// hands its response straight back to the loop thread, which renders it and
+// fulfils the connection's slot in the same callback that read the request.
+// A miss completes on the service's dispatcher thread, through a
+// submit_async callback that renders the response line (a pure function)
+// and hands (connection, slot, line) to the loop through a lock-free SPSC
+// completion ring (net/spsc_ring.hpp) plus a coalesced eventfd wake; the
+// dispatcher is the ring's only producer.  The dispatcher never touches a
+// socket, and the data path never takes a lock.  An idle loop sleeps in
+// epoll_wait with no timeout unless `idle_timeout` is set or a drain is
+// under way.
 //
 // Overload and misbehavior policy:
 //   * connection limit     -> accept, answer one `backpressure` error, close;
@@ -37,9 +40,9 @@
 //     in flight, then returns from run().
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,10 +60,10 @@
 
 namespace xnfv::net {
 
-/// Connection-count admission shared across every acceptor that holds a
-/// reference — with N reuseport shards, one budget makes `max_connections`
-/// a fleet-wide limit the kernel's connection hashing cannot overshoot, and
-/// rejects stay exactly countable.
+/// The fleet's connection-count admission: every shard's acceptor takes its
+/// slots from this one budget, so `max_connections` is a fleet-wide limit the
+/// kernel's connection hashing cannot overshoot, and rejects stay exactly
+/// countable.
 struct ConnectionBudget {
     explicit ConnectionBudget(std::size_t max_active) : limit(max_active) {}
 
@@ -87,14 +90,19 @@ struct ConnectionBudget {
     std::size_t limit;
 };
 
+/// Settings of the TCP server (ShardedServer); its shards read them there.
 struct ServerConfig {
     /// Numeric bind address; loopback by default (an explanation service is
     /// an internal NOC component, not an internet-facing one).
     std::string host = "127.0.0.1";
     /// 0 picks an ephemeral port (readable via port() after start()).
     std::uint16_t port = 0;
-    /// Accepted-connection ceiling; extra connections get one structured
-    /// `backpressure` error and are closed.
+    /// Number of (event loop + service) shards; 0 = hardware concurrency.
+    /// With more than one, the shards share the port through SO_REUSEPORT
+    /// and shard i's thread is pinned to CPU i mod the hardware concurrency.
+    std::size_t shards = 0;
+    /// Fleet-wide accepted-connection ceiling; extra connections get one
+    /// structured `backpressure` error and are closed.
     std::size_t max_connections = 256;
     /// Per-connection output-buffer cap: a reader this far behind is slow or
     /// half-open and is closed with a `backpressure` error.
@@ -106,13 +114,7 @@ struct ServerConfig {
     /// (SO_SNDBUF) — lets backpressure tests overflow the output cap
     /// deterministically with small payloads.
     int sndbuf = 0;
-    /// Bind with SO_REUSEPORT so sibling shard listeners can share the port.
-    bool reuseport = false;
-    /// Connection budget shared across shards; null makes the server create
-    /// a private one from `max_connections` (the standalone case).  When
-    /// set, `max_connections` is ignored in favor of the budget's limit.
-    std::shared_ptr<ConnectionBudget> budget;
-    /// Socket chaos injector (net/chaos.hpp), shared across shards; null =
+    /// Socket chaos injector (net/chaos.hpp), shared by every shard; null =
     /// no faults.  Always compiled in — a null injector costs one pointer
     /// check per I/O call.
     std::shared_ptr<NetFaultInjector> chaos;
@@ -122,68 +124,40 @@ struct ServerConfig {
     std::size_t dedup_window = 1024;
 };
 
+class ShardedServer;
+
+/// One shard's event loop: its listener, its connections and its completion
+/// ring, in front of its own service.  Only ShardedServer builds and drives
+/// one.
 class ExplanationServer {
 public:
-    /// Resolves `{"op":"explain","row":K}` requests to a feature vector;
-    /// returns false when the row does not exist.  Unset = all row requests
-    /// are answered "row out of range".
-    using RowLookup = serve::Session::RowLookup;
-
-    /// The service must outlive the server and must not be stop()ped while
-    /// run() is serving (drain first).
-    ExplanationServer(serve::ExplanationService& service, ServerConfig config = {});
     ~ExplanationServer();
 
     ExplanationServer(const ExplanationServer&) = delete;
     ExplanationServer& operator=(const ExplanationServer&) = delete;
 
-    void set_row_lookup(RowLookup lookup) { row_lookup_ = std::move(lookup); }
+private:
+    friend class ShardedServer;
 
-    /// Overrides what an `{"op":"stats"}` frame reports.  The sharded server
-    /// installs its cross-shard aggregate here so any connection sees fleet
-    /// totals; unset, a connection sees this server's own stats().  Called
-    /// on the loop thread; must be thread-safe against sibling shards.
-    using StatsProvider = std::function<serve::ServiceStats()>;
-    void set_stats_provider(StatsProvider provider) {
-        stats_provider_ = std::move(provider);
-    }
+    /// The service must outlive the shard and must not be stop()ped while
+    /// run() is serving (drain first).
+    ExplanationServer(ShardedServer& fleet, serve::ExplanationService& service);
 
-    /// Overrides how `stats_reset` and `load`/`swap`/`retire`/`models`
-    /// frames are handled; returns the rendered single-line response.  The
-    /// sharded server installs a fan-out here so an op reaching any shard
-    /// applies to every shard's service atomically (under its admin mutex);
-    /// unset, the op applies to this server's own service.  Called on the
-    /// loop thread; must be thread-safe against sibling shards.
-    using AdminProvider = std::function<std::string(const serve::JsonValue&)>;
-    void set_admin_provider(AdminProvider provider) {
-        admin_provider_ = std::move(provider);
-    }
+    /// Binds and listens on `port` (0 = ephemeral).  On failure returns
+    /// false and stores why in `error` (when non-null).
+    [[nodiscard]] bool start(std::uint16_t port, std::string* error);
 
-    /// Binds and listens.  On failure returns false and stores why in
-    /// `error` (when non-null).
-    [[nodiscard]] bool start(std::string* error = nullptr);
-
-    /// start() on a specific port, overriding the configured one.  Reuseport
-    /// siblings use this to join the group once the first shard has resolved
-    /// an ephemeral port.
-    [[nodiscard]] bool bind_port(std::uint16_t port, std::string* error = nullptr);
-
-    /// Serves until drained; blocks the calling thread (tests and the CLI
-    /// run it on whichever thread suits them).  start() must have succeeded.
+    /// Serves until drained; blocks the calling thread.  start() must have
+    /// succeeded.
     void run();
 
     /// Begins a graceful drain: stop accepting and reading, flush every
     /// in-flight response, then run() returns.  Async-signal-safe (an atomic
-    /// store and an eventfd write) — the CLI calls this from its SIGTERM
-    /// handler.  Idempotent.
+    /// store and an eventfd write).  Idempotent.
     void request_drain() noexcept;
 
     [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
-    /// Service stats with the net section populated (net_enabled = true).
-    [[nodiscard]] serve::ServiceStats stats() const;
-
-private:
     /// One completed explanation travelling dispatcher -> loop thread.
     struct Completion {
         std::uint64_t conn_id = 0;
@@ -227,9 +201,8 @@ private:
     void on_conn_event(std::uint64_t conn_id, std::uint32_t events);
     void on_wake();
     void on_tick();
-    /// What connection `conn_id`'s session reaches through this server: the
-    /// service, the row lookup, the stats and admin providers (or this
-    /// server's own), and the completion ring.
+    /// What connection `conn_id`'s session reaches: this shard's service and
+    /// completion ring, and the fleet's row lookup, stats and admin ops.
     [[nodiscard]] serve::Session::Context session_context(std::uint64_t conn_id);
     /// Flushes, enforces the output cap, updates epoll interest, and closes
     /// the connection when its end conditions hold.  The reference is dead
@@ -243,12 +216,10 @@ private:
     void check_drain_done();
     void drain_completions();
 
+    /// Owns this shard, the connection budget and the row lookup.
+    ShardedServer& fleet_;
+    const ServerConfig& config_;  ///< the fleet's
     serve::ExplanationService& service_;
-    ServerConfig config_;
-    RowLookup row_lookup_;
-    StatsProvider stats_provider_;
-    AdminProvider admin_provider_;
-    std::shared_ptr<ConnectionBudget> budget_;
     EventLoop loop_;
     TcpListener listener_;
     std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;

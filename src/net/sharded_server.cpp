@@ -40,17 +40,14 @@ void pin_to_cpu([[maybe_unused]] std::thread& thread,
 ShardedServer::ShardedServer(std::shared_ptr<const xnfv::ml::Model> model,
                              xnfv::xai::BackgroundData background,
                              serve::ServiceConfig service_config,
-                             ShardedServerConfig config)
-    : budget_(std::make_shared<ConnectionBudget>(config.net.max_connections)) {
-    const std::size_t n = resolve_shards(config.shards);
+                             ServerConfig config)
+    : config_(std::move(config)), budget_(config_.max_connections) {
+    const std::size_t n = resolve_shards(config_.shards);
     // Partition the cache: the fleet's total capacity stays what was asked
     // for, spread over per-shard slices (each internally hash-sharded), and
     // each slice carries its own drift epoch.
     service_config.cache_capacity =
         std::max<std::size_t>(16, service_config.cache_capacity / n);
-    ServerConfig net = std::move(config.net);
-    net.reuseport = n > 1;
-    net.budget = budget_;
 
     shards_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -63,36 +60,21 @@ ShardedServer::ShardedServer(std::shared_ptr<const xnfv::ml::Model> model,
             cfg.snapshot_suffix = ".shard" + std::to_string(i);
         shard.service =
             std::make_unique<serve::ExplanationService>(model, background, cfg);
-        shard.server = std::make_unique<ExplanationServer>(*shard.service, net);
-        shard.server->set_stats_provider([this] { return stats(); });
-        // An admin op (load/swap/retire) or a stats_reset reaching any shard
-        // must apply to every shard's service, serialized so two concurrent
-        // ops cannot interleave half-applied fleets.
-        shard.server->set_admin_provider([this](const serve::JsonValue& req) {
-            const std::lock_guard<std::mutex> lock(admin_mutex_);
-            if (req.get_string("op", "") == "stats_reset") budget_->reset_peak();
-            std::vector<serve::ExplanationService*> services;
-            services.reserve(shards_.size());
-            for (const auto& s : shards_) services.push_back(s->service.get());
-            return serve::handle_model_admin(req, services);
-        });
+        shard.server.reset(new ExplanationServer(*this, *shard.service));
     }
 }
 
 ShardedServer::~ShardedServer() { stop_services(); }
 
-void ShardedServer::set_row_lookup(RowLookup lookup) {
-    for (auto& shard : shards_) shard->server->set_row_lookup(lookup);
-}
-
 bool ShardedServer::start(std::string* error) {
     // Shard 0 resolves an ephemeral port; siblings then join its reuseport
     // group on the concrete port.  Anything bound before a failure is closed
     // when the object is destroyed.
-    if (!shards_[0]->server->start(error)) return false;
-    const auto port = shards_[0]->server->port();
-    for (std::size_t i = 1; i < shards_.size(); ++i)
-        if (!shards_[i]->server->bind_port(port, error)) return false;
+    std::uint16_t port = config_.port;
+    for (auto& shard : shards_) {
+        if (!shard->server->start(port, error)) return false;
+        port = shard->server->port();
+    }
     return true;
 }
 
@@ -129,8 +111,24 @@ std::uint16_t ShardedServer::port() const noexcept {
 serve::ServiceStats ShardedServer::stats() const {
     std::vector<serve::ServiceStats> shards;
     shards.reserve(shards_.size());
-    for (const auto& shard : shards_) shards.push_back(shard->server->stats());
-    return serve::merge_stats(shards);
+    for (const auto& shard : shards_) shards.push_back(shard->service->stats());
+    auto s = serve::merge_stats(shards);
+    s.net_enabled = true;
+    s.net_shards = shards_.size();
+    s.connections_active = budget_.active.load(std::memory_order_relaxed);
+    s.connections_active_max = budget_.peak.load(std::memory_order_relaxed);
+    if (config_.chaos) s.net_faults_injected = config_.chaos->total_fired();
+    s.derive();  // mirrors the net counts into errors_by_reason
+    return s;
+}
+
+std::string ShardedServer::admin(const serve::JsonValue& request) {
+    const std::lock_guard<std::mutex> lock(admin_mutex_);
+    if (request.get_string("op", "") == "stats_reset") budget_.reset_peak();
+    std::vector<serve::ExplanationService*> services;
+    services.reserve(shards_.size());
+    for (const auto& shard : shards_) services.push_back(shard->service.get());
+    return serve::handle_model_admin(request, services);
 }
 
 }  // namespace xnfv::net

@@ -1,27 +1,32 @@
-// Thread-per-core sharded TCP serving: N independent (event loop + service)
-// shards behind one SO_REUSEPORT port.
+// The TCP front-end of the explanation service: N independent (event loop +
+// service) shards behind one port, thread-per-core.  Every TCP path serves
+// through a ShardedServer; `--shards 1` is one event loop and one service.
 //
 // Scale-out model (DESIGN.md section 13):
 //
-//   * Accept sharding — every shard binds its own SO_REUSEPORT listener on
-//     the same port; the kernel hashes incoming connections across them, so
-//     there is no shared accept lock and no connection handoff.
+//   * Accept sharding — with more than one shard, every shard binds its own
+//     SO_REUSEPORT listener on the same port; the kernel hashes incoming
+//     connections across them, so there is no shared accept lock and no
+//     connection handoff.
 //   * Share-nothing serving — each shard owns a full ExplanationService
 //     (admission queue, batching dispatcher thread, LRU cache slice
-//     with its own drift epoch) and a full ExplanationServer (epoll loop,
-//     connections, SPSC completion ring).  A connection lives and dies on
-//     the shard that accepted it, which is what keeps per-connection
-//     response bytes identical to the single-loop server: ordering is
-//     per-connection, and every request is explained by a fresh explainer
-//     seeded from the request itself.
+//     with its own drift epoch) and an ExplanationServer (epoll loop,
+//     connections, SPSC completion ring; net/server.hpp).  A connection
+//     lives and dies on the shard that accepted it, which is what keeps
+//     per-connection response bytes identical at every shard count:
+//     ordering is per-connection, and every request is explained by a fresh
+//     explainer seeded from the request itself.
 //   * Partitioned cache — the configured capacity is split evenly across
 //     shards; within a shard, keys spread over the existing hash-sharded
 //     LRU.  Drift epochs are per shard: each shard's monitor watches the
 //     traffic that shard actually served and re-keys only its own slice.
-//   * Fleet-wide invariants — the connection limit is one ConnectionBudget
-//     shared by all acceptors (rejects are exactly countable no matter how
-//     the kernel spreads the storm), and `{"op":"stats"}` on any connection
-//     reports the cross-shard aggregate.
+//   * Fleet-wide state — the settings, the row lookup and the connection
+//     budget belong to the fleet, and every shard reads them from it: the
+//     connection limit is one ConnectionBudget shared by all acceptors
+//     (rejects are exactly countable no matter how the kernel spreads the
+//     storm), `{"op":"stats"}` on any connection reports the cross-shard
+//     aggregate, and an admin op or `stats_reset` on any connection applies
+//     to every shard's service.
 //
 // Lifecycle: construct (builds all shards' services), start() (binds all
 // listeners — shard 0 first to learn an ephemeral port), run() (starts one
@@ -50,24 +55,15 @@
 
 namespace xnfv::net {
 
-struct ShardedServerConfig {
-    /// Per-shard front-end settings.  `max_connections` is the FLEET limit
-    /// (enforced via one shared budget); `port` 0 picks an ephemeral port
-    /// shared by every shard.  `budget` is ignored: the fleet builds one
-    /// from `max_connections`.
-    ServerConfig net;
-    /// Number of (event loop + service) shards; 0 = hardware concurrency.
-    /// With more than one, shard i's thread is pinned to CPU i mod the
-    /// hardware concurrency.
-    std::size_t shards = 0;
-};
-
-/// N-way sharded explanation server.  Owns its services (one per shard),
-/// built from the same (model, background, config) triple so every shard
-/// serves byte-identical answers.
+/// The TCP explanation server: `config.shards` shards behind one port.  Owns
+/// its services (one per shard), built from the same (model, background,
+/// config) triple so every shard serves byte-identical answers.
 class ShardedServer {
 public:
-    using RowLookup = ExplanationServer::RowLookup;
+    /// Resolves `{"op":"explain","row":K}` requests to a feature vector;
+    /// returns false when the row does not exist.  Unset = all row requests
+    /// are answered "row out of range".
+    using RowLookup = serve::Session::RowLookup;
 
     /// `service_config.cache_capacity` is divided across shards (floor 16
     /// per shard); `snapshot_path`, when set, gets a ".shardK" suffix per
@@ -75,14 +71,15 @@ public:
     ShardedServer(std::shared_ptr<const xnfv::ml::Model> model,
                   xnfv::xai::BackgroundData background,
                   serve::ServiceConfig service_config,
-                  ShardedServerConfig config = {});
+                  ServerConfig config = {});
     ~ShardedServer();
 
     ShardedServer(const ShardedServer&) = delete;
     ShardedServer& operator=(const ShardedServer&) = delete;
 
-    /// Installed on every shard (connections may land anywhere).
-    void set_row_lookup(RowLookup lookup);
+    /// Read by every shard (connections may land anywhere).  Set it before
+    /// start().
+    void set_row_lookup(RowLookup lookup) { row_lookup_ = std::move(lookup); }
 
     /// Binds every shard's listener.  On failure returns false, stores why
     /// in `error` (when non-null), and closes whatever was bound.
@@ -114,29 +111,33 @@ public:
     [[nodiscard]] serve::ServiceStats stats() const;
 
     /// The fleet-wide connection budget (tests assert slot exactness).
-    [[nodiscard]] const ConnectionBudget& budget() const noexcept { return *budget_; }
+    [[nodiscard]] const ConnectionBudget& budget() const noexcept { return budget_; }
 
-    /// Shard internals, for tests and benchmarks.
+    /// Shard `shard`'s service, for tests and benchmarks.
     [[nodiscard]] serve::ExplanationService& service(std::size_t shard) {
         return *shards_[shard]->service;
     }
-    [[nodiscard]] ExplanationServer& server(std::size_t shard) {
-        return *shards_[shard]->server;
-    }
 
 private:
+    friend class ExplanationServer;
+
     struct Shard {
         std::unique_ptr<serve::ExplanationService> service;
         std::unique_ptr<ExplanationServer> server;
         std::thread thread;
     };
 
-    std::shared_ptr<ConnectionBudget> budget_;
+    /// Applies `stats_reset` or a load/swap/retire/models op to every
+    /// shard's service and returns its answer line.  Called on any shard's
+    /// loop thread; serialized so two concurrent ops cannot interleave
+    /// half-applied fleets.
+    [[nodiscard]] std::string admin(const serve::JsonValue& request);
+
+    const ServerConfig config_;
+    RowLookup row_lookup_;
+    ConnectionBudget budget_;
     std::vector<std::unique_ptr<Shard>> shards_;  ///< fixed after construction
-    /// Serializes admin ops (load/swap/retire fan-out across shards) and
-    /// stats_reset, so two concurrent ops cannot interleave half-applied
-    /// fleets.
-    std::mutex admin_mutex_;
+    std::mutex admin_mutex_;  ///< serializes admin()
     std::atomic<bool> services_stopped_{false};
 };
 

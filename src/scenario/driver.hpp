@@ -13,7 +13,7 @@
 //   2. converts every simulated chain-epoch's telemetry into an ND-JSON
 //      `explain` request and replays the phase's full request set as many
 //      concurrent pipelined clients (net/loadgen.hpp) against a running
-//      single-loop or sharded server;
+//      server (net/sharded_server.hpp) of any shard count;
 //   3. runs three phases — `baseline` (nominal traffic), `flash_crowd`
 //      (offered load multiplied, driving the degradation ladder, breakers,
 //      and attribution-drift flushes), and `remediated` (the flash traffic

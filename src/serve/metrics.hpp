@@ -220,8 +220,7 @@ struct ServiceStats {
     /// TCP front-end section (src/net/); all-zero with `net_enabled` false
     /// when the service runs in-process only.
     bool net_enabled = false;
-    /// Event-loop shards serving (1 = the single-loop server; >1 = the
-    /// thread-per-core ShardedServer).
+    /// Event-loop shards serving (ShardedServer; `serve --shards`).
     std::uint64_t net_shards = 0;
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_active = 0;

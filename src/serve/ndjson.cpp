@@ -222,6 +222,10 @@ double JsonValue::get_number(const std::string& key, double fallback) const {
     return (v != nullptr && v->type == Type::number) ? v->number : fallback;
 }
 
+std::string integer_error(const std::string& key) {
+    return "\"" + key + "\" must be a whole number in range";
+}
+
 JsonValue parse_json(const std::string& text) {
     return Parser(text).parse_document();
 }

@@ -8,11 +8,16 @@
 // the explainer produced (the determinism tests compare these strings).
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "serve/errors.hpp"
@@ -33,8 +38,6 @@ public:
     std::vector<JsonValue> array;
     std::map<std::string, JsonValue> object;
 
-    [[nodiscard]] bool is_null() const noexcept { return type == Type::null; }
-
     /// Object member lookup; nullptr when absent or not an object.
     [[nodiscard]] const JsonValue* find(const std::string& key) const;
 
@@ -43,7 +46,28 @@ public:
                                          const std::string& fallback) const;
     [[nodiscard]] double get_number(const std::string& key, double fallback) const;
     [[nodiscard]] bool has(const std::string& key) const { return find(key) != nullptr; }
+
+    /// Member `key` as an integer of type T: `fallback` when absent, empty
+    /// when present but not a finite whole number T can hold.  Every integer
+    /// read from the wire goes through here: casting a double T cannot hold
+    /// is undefined behaviour.
+    template <std::integral T>
+    [[nodiscard]] std::optional<T> get_integer(const std::string& key, T fallback) const {
+        const JsonValue* v = find(key);
+        if (v == nullptr) return fallback;
+        // 2^digits is exact as a double and one past T's largest value.
+        constexpr double end =
+            2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+        constexpr double begin = std::is_signed_v<T> ? -end : 0.0;
+        const double d = v->number;
+        if (v->type != Type::number || !(d >= begin && d < end) || d != std::trunc(d))
+            return std::nullopt;
+        return static_cast<T>(d);
+    }
 };
+
+/// The bad_request detail for member `key` when get_integer() refused it.
+[[nodiscard]] std::string integer_error(const std::string& key);
 
 /// Parses one complete JSON document; throws std::runtime_error with a
 /// position-annotated message on malformed input or trailing garbage.

@@ -323,6 +323,11 @@ std::string handle_model_admin(const JsonValue& request,
     if (path.empty())
         return render_error(0, ServeError::bad_request,
                            "'" + op + "' needs a \"model\" file path");
+    const auto weight = request.get_integer("weight", std::size_t{1});
+    const auto quota = request.get_integer("quota", std::size_t{0});
+    if (op == "load" && !(weight && quota))
+        return render_error(0, ServeError::bad_request,
+                            integer_error(weight ? "quota" : "weight"));
     std::shared_ptr<const ml::Model> model;
     try {
         model = ml::load_model_file(path);
@@ -333,12 +338,8 @@ std::string handle_model_admin(const JsonValue& request,
 
     std::string why;
     if (op == "load") {
-        const auto weight =
-            static_cast<std::size_t>(request.get_number("weight", 1.0));
-        const auto quota =
-            static_cast<std::size_t>(request.get_number("quota", 0.0));
         for (ExplanationService* service : services) {
-            const auto err = service->model_load(name, model, weight, quota, &why);
+            const auto err = service->model_load(name, model, *weight, *quota, &why);
             if (err != ServeError::none) return render_error(0, err, why);
         }
         JsonWriter w;
@@ -347,8 +348,8 @@ std::string handle_model_admin(const JsonValue& request,
         w.field("name", name);
         w.field("fingerprint", fingerprint_hex(fingerprint_model(*model)));
         w.field("num_features", static_cast<std::uint64_t>(model->num_features()));
-        w.field("weight", static_cast<std::uint64_t>(std::max<std::size_t>(1, weight)));
-        w.field("quota", static_cast<std::uint64_t>(quota));
+        w.field("weight", static_cast<std::uint64_t>(std::max<std::size_t>(1, *weight)));
+        w.field("quota", static_cast<std::uint64_t>(*quota));
         return w.finish();
     }
 

@@ -113,7 +113,9 @@ std::unique_ptr<xai::Explainer> make_explainer(const std::string& method,
                                                const xai::BackgroundData& background,
                                                std::uint64_t seed, std::size_t threads,
                                                const ExplainerLimits& limits) {
-    const double scale = clamp_scale(limits.budget_scale);
+    // Coalitions, permutations, samples or steps: the one budget formula.
+    const auto budget = static_cast<std::size_t>(
+        effective_budget(method, limits.budget_scale, background, limits.ig_steps));
     // The flat kernel is the tree_shap implementation everywhere — one-shot
     // and served paths alike — and is pinned bitwise-identical to the
     // recursive walker by tests/test_fast_path.cpp.
@@ -121,27 +123,26 @@ std::unique_ptr<xai::Explainer> make_explainer(const std::string& method,
         return std::make_unique<xai::FlatTreeShapExplainer>(threads);
     if (method == "integrated_gradients") {
         xai::IntegratedGradients::Config cfg;
-        cfg.steps = scaled_budget(limits.ig_steps, scale, 8);
+        cfg.steps = budget;
         return std::make_unique<xai::IntegratedGradients>(background, cfg);
     }
     if (method == "kernel_shap") {
         xai::KernelShap::Config cfg;
-        cfg.max_coalitions = scaled_budget(cfg.max_coalitions, scale, 16);
+        cfg.max_coalitions = budget;
         cfg.threads = threads;
         cfg.cancel = limits.cancel;
         return std::make_unique<xai::KernelShap>(background, ml::Rng(seed), cfg);
     }
     if (method == "sampling") {
         xai::SamplingShapley::Config cfg;
-        cfg.num_permutations = scaled_budget(cfg.num_permutations, scale, 8);
+        cfg.num_permutations = budget;
         cfg.threads = threads;
         cfg.cancel = limits.cancel;
         return std::make_unique<xai::SamplingShapley>(background, ml::Rng(seed), cfg);
     }
     if (method == "lime") {
         xai::Lime::Config cfg;
-        cfg.num_samples =
-            scaled_budget(cfg.num_samples, scale, background.num_features() + 2);
+        cfg.num_samples = budget;
         cfg.threads = threads;
         cfg.cancel = limits.cancel;
         return std::make_unique<xai::Lime>(background, ml::Rng(seed), cfg);
@@ -279,9 +280,13 @@ ServeError ExplanationService::prepare_job(ExplainRequest request, Job& job) {
     job.model_snapshot = std::move(snapshot);
     job.model_class = job.model_entry->class_id;
     job.enqueued_at = now;
-    if (job.request.deadline_ms > 0)
-        job.deadline =
-            job.enqueued_at + std::chrono::milliseconds(job.request.deadline_ms);
+    if (job.request.deadline_ms > 0) {
+        // A deadline past the clock's range is none; the sum would overflow.
+        const auto range = std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now);
+        if (job.request.deadline_ms < range.count())
+            job.deadline = now + std::chrono::milliseconds(job.request.deadline_ms);
+    }
     return ServeError::none;
 }
 

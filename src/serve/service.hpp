@@ -96,9 +96,10 @@ struct ExplainerLimits {
     const std::string& method, const xnfv::xai::BackgroundData& background,
     std::uint64_t seed, std::size_t threads = 0, const ExplainerLimits& limits = {});
 
-/// The sample budget make_explainer gives `method` at `budget_scale`
-/// (coalitions, permutations, neighborhood samples, or IG steps, with the
-/// same floors make_explainer applies).  0 for tree_shap (exact).
+/// The sample budget of `method` at `budget_scale` (coalitions,
+/// permutations, neighborhood samples, or IG steps, each scaled with a
+/// floor), which make_explainer configures its explainer with.  The number
+/// of features for occlusion; 0 for tree_shap (exact).
 [[nodiscard]] std::uint64_t effective_budget(const std::string& method,
                                              double budget_scale,
                                              const xnfv::xai::BackgroundData& background,
@@ -292,10 +293,6 @@ public:
     void stop();
 
     [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
-    /// The default model (the one the constructor was given).
-    [[nodiscard]] std::shared_ptr<const xnfv::ml::Model> default_model() const {
-        return registry_.default_entry()->current()->model;
-    }
     /// Feature arity of `name` (""= default); nullopt for an unknown model.
     [[nodiscard]] std::optional<std::size_t> feature_dim(const std::string& name) const {
         const auto entry = registry_.resolve(name);

@@ -66,22 +66,31 @@ std::string Session::use(const JsonValue& request) {
 }
 
 void Session::explain(const JsonValue& req) {
+    // Integers arrive as doubles; a present value its field cannot hold (not
+    // a number, a fraction, or out of range) refuses the request, naming the
+    // first such field.  `row` is read only where it is used, below.
+    const char* bad_number = nullptr;
+    const auto integer = [&req, &bad_number](const char* key, auto fallback) {
+        const auto value = req.get_integer(key, fallback);
+        if (!value && bad_number == nullptr) bad_number = key;
+        return value.value_or(fallback);
+    };
     ExplainRequest er;
-    er.id = static_cast<std::uint64_t>(req.get_number("id", static_cast<double>(next_id_)));
+    er.id = integer("id", next_id_);
     ++next_id_;
     er.method = req.get_string("method", "");
     er.model = req.get_string("model", default_model_);
-    er.seed = static_cast<std::uint64_t>(req.get_number("seed", 0));
-    er.deadline_ms = static_cast<std::int64_t>(req.get_number("deadline_ms", -1));
-    // Opt-in interaction pairs; a negative count means off, not an error.
-    if (const double k = req.get_number("interactions", 0); k > 0)
+    er.seed = integer("seed", std::uint64_t{0});
+    er.deadline_ms = integer("deadline_ms", std::int64_t{-1});
+    // Opt-in interaction pairs; a count of 0 or less means off, not an error.
+    if (const auto k = integer("interactions", std::int64_t{0}); k > 0)
         er.interactions = static_cast<std::size_t>(k);
 
     // The slot is taken before validation so the retry window covers every
     // outcome: a duplicate rid replays the recorded answer, explanation or
     // error alike.  (Retries should carry an explicit "id": the default-id
     // counter has already moved on by the time a duplicate is recognized.)
-    const auto rid = static_cast<std::uint64_t>(req.get_number("rid", 0));
+    const auto rid = integer("rid", std::uint64_t{0});
     const auto seq = push_slot(Slot::Kind::response);
     if (!admit_rid(rid, seq)) {
         context_.service.metrics().inc(&ServiceStats::net_retry_duplicates);
@@ -91,6 +100,10 @@ void Session::explain(const JsonValue& req) {
                                   const std::string& message) {
         fulfill(seq, render_error(id, code, message));
     };
+    if (bad_number != nullptr) {
+        fail(er.id, ServeError::bad_request, integer_error(bad_number));
+        return;
+    }
 
     // Feature arity is per model, so the model resolves first.
     const auto dim = context_.service.feature_dim(er.model);
@@ -112,8 +125,12 @@ void Session::explain(const JsonValue& req) {
         }
         er.features = std::move(extracted.features);
     } else if (req.has("row")) {
-        const auto row = static_cast<std::size_t>(req.get_number("row", 0));
-        if (!context_.rows || !context_.rows(row, er.features)) {
+        const auto row = req.get_integer("row", std::size_t{0});
+        if (!row) {
+            fail(er.id, ServeError::bad_request, integer_error("row"));
+            return;
+        }
+        if (!context_.rows || !context_.rows(*row, er.features)) {
             fail(er.id, ServeError::bad_request, "row out of range");
             return;
         }

@@ -120,8 +120,8 @@ wait "$SRV"
 grep -q '^drained$' "$DIR/tcp.out"
 
 # Sharded serving: the same probe against 2- and 4-shard servers must
-# produce the same bytes as the single-loop answer, and the graceful drain
-# still works.
+# produce the same bytes as the stdin answer, and the graceful drain still
+# works.
 for SHARDS in 2 4; do
   "$CLI" serve --model "$DIR/model.xnfv" --data "$DIR/data.csv" \
       --listen 0 --shards "$SHARDS" > "$DIR/tcp$SHARDS.out" 2>&1 &
@@ -203,5 +203,11 @@ grep -q '^drained$' "$DIR/tcp3.out"
 if "$CLI" train --data /nonexistent.csv --out "$DIR/x" 2>/dev/null; then exit 1; fi
 if "$CLI" explain --model "$DIR/model.xnfv" --data "$DIR/data.csv" --row 99999 2>/dev/null; then exit 1; fi
 if "$CLI" frobnicate 2>/dev/null; then exit 1; fi
+# A manifest number its field cannot hold fails startup at its file:line.
+printf '%s\n' "{\"name\":\"prod\",\"model\":\"$DIR/model.xnfv\",\"weight\":-1}" \
+  > "$DIR/bad_models.ndjson"
+if "$CLI" serve --models "$DIR/bad_models.ndjson" --data "$DIR/data.csv" \
+    < /dev/null 2> "$DIR/bad_models.err"; then exit 1; fi
+grep -q 'bad_models.ndjson:1: "weight" must be a whole number in range' "$DIR/bad_models.err"
 
 echo "cli smoke ok"

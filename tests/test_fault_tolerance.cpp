@@ -313,14 +313,21 @@ TEST(ExplanationService, ExpiredDeadlineAnsweredWithoutComputing) {
 }
 
 TEST(ExplanationService, GenerousDeadlineStillServes) {
+    // Up to the largest deadline the wire can carry: one past the clock's
+    // range is no deadline.  Each request is a miss, so each sets a deadline.
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     serve::ExplanationService service(sum_model(), tiny_background(), cfg);
-    auto req = request_for(1, {1.0, 2.0, 3.0});
-    req.deadline_ms = 60000;
-    const auto r = service.explain_sync(std::move(req));
-    EXPECT_TRUE(r.ok);
-    EXPECT_FALSE(r.degraded);
+    const std::int64_t deadlines[] = {60000, 10'000'000'000'000,
+                                      std::numeric_limits<std::int64_t>::max()};
+    for (std::size_t i = 0; i < std::size(deadlines); ++i) {
+        const double v = static_cast<double>(i);
+        auto req = request_for(i + 1, {v, v + 1.0, v + 2.0});
+        req.deadline_ms = deadlines[i];
+        const auto r = service.explain_sync(std::move(req));
+        EXPECT_TRUE(r.ok) << deadlines[i];
+        EXPECT_FALSE(r.degraded);
+    }
 }
 
 // --------------------------------------------------------- input hardening ---

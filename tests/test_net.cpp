@@ -29,7 +29,7 @@
 
 #include "mlcore/forest.hpp"
 #include "net/client.hpp"
-#include "net/server.hpp"
+#include "net/sharded_server.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
@@ -73,17 +73,18 @@ const Scenario& scenario() {
     return s;
 }
 
-/// Service + server on a background thread, drained and joined on teardown.
+/// A 1-shard server on a background thread, drained and joined on teardown.
 struct Harness {
-    std::unique_ptr<serve::ExplanationService> service;
-    std::unique_ptr<net::ExplanationServer> server;
+    std::unique_ptr<net::ShardedServer> server;
+    serve::ExplanationService* service = nullptr;  ///< the shard's
     std::thread thread;
 
     explicit Harness(serve::ServiceConfig scfg = {}, net::ServerConfig ncfg = {}) {
         const auto& s = scenario();
-        service = std::make_unique<serve::ExplanationService>(
-            s.forest, s.background, std::move(scfg));
-        server = std::make_unique<net::ExplanationServer>(*service, std::move(ncfg));
+        ncfg.shards = 1;
+        server = std::make_unique<net::ShardedServer>(s.forest, s.background,
+                                                      std::move(scfg), std::move(ncfg));
+        service = &server->service(0);
         server->set_row_lookup(
             [](std::size_t row, std::vector<double>& features) {
                 const auto& sc = scenario();
@@ -101,9 +102,9 @@ struct Harness {
     ~Harness() { stop(); }
 
     void stop() {
-        if (server) server->request_drain();
+        server->request_drain();
         if (thread.joinable()) thread.join();
-        if (service) service->stop();
+        server->stop_services();
     }
 
     net::Client connect() {

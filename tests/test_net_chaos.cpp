@@ -32,7 +32,6 @@
 #include "net/chaos.hpp"
 #include "net/client.hpp"
 #include "net/loadgen.hpp"
-#include "net/server.hpp"
 #include "net/sharded_server.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
@@ -72,7 +71,7 @@ const Scenario& scenario() {
     return s;
 }
 
-net::ExplanationServer::RowLookup row_lookup() {
+net::ShardedServer::RowLookup row_lookup() {
     return [](std::size_t row, std::vector<double>& features) {
         const auto& sc = scenario();
         if (row >= sc.data.size()) return false;
@@ -162,16 +161,16 @@ std::shared_ptr<net::NetFaultInjector> chunking_injector(std::uint64_t seed) {
     return std::make_shared<net::NetFaultInjector>(cfg);
 }
 
-/// Plays the stream against a single-loop server, optionally under chaos.
-std::vector<std::vector<std::string>> run_single_loop(
-    const std::vector<std::vector<std::string>>& scripts,
+/// Plays the stream against a `shards`-shard server, optionally under chaos.
+std::vector<std::vector<std::string>> run_fleet(
+    const std::vector<std::vector<std::string>>& scripts, std::size_t shards,
     std::shared_ptr<net::NetFaultInjector> chaos = nullptr,
     serve::ServiceStats* stats_out = nullptr) {
     const auto& s = scenario();
-    serve::ExplanationService service(s.forest, s.background, service_config());
     net::ServerConfig cfg;
-    cfg.chaos = chaos;
-    net::ExplanationServer server(service, cfg);
+    cfg.shards = shards;
+    cfg.chaos = std::move(chaos);
+    net::ShardedServer server(s.forest, s.background, service_config(), cfg);
     server.set_row_lookup(row_lookup());
     std::string error;
     if (!server.start(&error)) throw std::runtime_error(error);
@@ -180,7 +179,7 @@ std::vector<std::vector<std::string>> run_single_loop(
     if (stats_out) *stats_out = server.stats();
     server.request_drain();
     loop.join();
-    service.stop();
+    server.stop_services();
     return streams;
 }
 
@@ -194,11 +193,9 @@ std::uint64_t extract_id(const std::string& line) {
 /// mid-stream (SO_LINGER(0) — the peer sees ECONNRESET, possibly after
 /// responses were computed but before they were read).  The loadgen's retry
 /// mode must reconnect, re-send every unanswered request, and finish with
-/// each id answered exactly once.  `serve(cfg, drive)` starts a server with
-/// front-end settings `cfg`, calls `drive(port)` while it serves, then
-/// drains it.
-template <class Serve>
-void expect_rst_storm_absorbed(Serve serve) {
+/// each id answered exactly once, and after the drain the fleet budget
+/// holds no slot.  At `shards` > 1 a reconnect may land on another shard.
+void expect_rst_storm_absorbed(std::size_t shards) {
     const std::size_t conns = 6, per_conn = 5;
     const auto rows = scenario().data.size();
     std::vector<std::vector<std::string>> scripts(conns);
@@ -210,24 +207,32 @@ void expect_rst_storm_absorbed(Serve serve) {
         }
 
     net::ServerConfig cfg;
+    cfg.shards = shards;
     net::NetFaultInjector::Config nf;
     nf.seed = 99;
     nf.rate[static_cast<std::size_t>(net::NetFaultPoint::rst_close)] = 1.0;
     nf.max_fires[static_cast<std::size_t>(net::NetFaultPoint::rst_close)] = 3;
     cfg.chaos = std::make_shared<net::NetFaultInjector>(nf);
-    net::LoadReport report;
-    serve(cfg, [&scripts, &report](std::uint16_t port) {
-        net::LoadgenConfig lg;
-        lg.port = port;
-        lg.window = 2;
-        lg.timeout = std::chrono::milliseconds(120000);
-        lg.max_retries = 16;
-        lg.response_timeout = 2000ms;
-        lg.connect_timeout = 2000ms;
-        lg.backoff_base = 5ms;
-        lg.retry_seed = 7;
-        report = net::run_load(lg, scripts);
-    });
+    const auto& s = scenario();
+    net::ShardedServer server(s.forest, s.background, service_config(), cfg);
+    server.set_row_lookup(row_lookup());
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::thread loop([&server] { server.run(); });
+    net::LoadgenConfig lg;
+    lg.port = server.port();
+    lg.window = 2;
+    lg.timeout = std::chrono::milliseconds(120000);
+    lg.max_retries = 16;
+    lg.response_timeout = 2000ms;
+    lg.connect_timeout = 2000ms;
+    lg.backoff_base = 5ms;
+    lg.retry_seed = 7;
+    const auto report = net::run_load(lg, scripts);
+    server.request_drain();
+    loop.join();
+    server.stop_services();
+    EXPECT_EQ(server.budget().active.load(), 0u);
 
     EXPECT_EQ(cfg.chaos->fired(net::NetFaultPoint::rst_close), 3u);
     ASSERT_FALSE(report.timed_out);
@@ -259,16 +264,16 @@ TEST(NetChaos, ChunkingFaultsAreByteInvisible) {
     // byte-identical sets of per-connection response streams — the faults
     // reshape I/O timing, never payloads.
     const auto scripts = chaos_scripts(10);
-    const auto baseline = run_single_loop(scripts);
+    const auto baseline = run_fleet(scripts, 1);
 
     const auto chaos_a = chunking_injector(0xc4a05);
     serve::ServiceStats stats_a;
-    const auto run_a = run_single_loop(scripts, chaos_a, &stats_a);
+    const auto run_a = run_fleet(scripts, 1, chaos_a, &stats_a);
     EXPECT_GT(chaos_a->total_fired(), 0u) << "injector never fired; rates too low";
     EXPECT_EQ(stats_a.net_faults_injected, chaos_a->total_fired());
 
     const auto chaos_b = chunking_injector(0xc4a05);
-    const auto run_b = run_single_loop(scripts, chaos_b);
+    const auto run_b = run_fleet(scripts, 1, chaos_b);
     EXPECT_GT(chaos_b->total_fired(), 0u);
 
     ASSERT_EQ(run_a.size(), baseline.size());
@@ -285,26 +290,14 @@ TEST(NetChaos, ShardedChunkingFaultsAreByteInvisible) {
     // across shards but counters are per-connection, so shard placement
     // cannot perturb payload bytes either.
     const auto scripts = chaos_scripts(8);
-    const auto baseline = run_single_loop(scripts);
+    const auto baseline = run_fleet(scripts, 1);
 
-    const auto& s = scenario();
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 2;
-    shcfg.net.max_connections = scripts.size() + 16;
-    shcfg.net.chaos = chunking_injector(0x5eed);
-    net::ShardedServer server(s.forest, s.background, service_config(), shcfg);
-    server.set_row_lookup(row_lookup());
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    std::thread loop([&server] { server.run(); });
-    const auto streams = replay(server.port(), scripts);
-    const auto stats = server.stats();
-    server.request_drain();
-    loop.join();
-    server.stop_services();
+    const auto chaos = chunking_injector(0x5eed);
+    serve::ServiceStats stats;
+    const auto streams = run_fleet(scripts, 2, chaos, &stats);
 
-    EXPECT_GT(shcfg.net.chaos->total_fired(), 0u);
-    EXPECT_EQ(stats.net_faults_injected, shcfg.net.chaos->total_fired());
+    EXPECT_GT(chaos->total_fired(), 0u);
+    EXPECT_EQ(stats.net_faults_injected, chaos->total_fired());
     ASSERT_EQ(streams.size(), baseline.size());
     for (std::size_t c = 0; c < baseline.size(); ++c)
         EXPECT_EQ(streams[c], baseline[c]) << "conn " << c;
@@ -314,10 +307,10 @@ TEST(NetChaos, SlowLorisEvictedByIdleTimeout) {
     // A peer that sends a torn frame and then goes silent holds no pipeline
     // slot (the frame never completed), so the idle scan must evict it.
     const auto& s = scenario();
-    serve::ExplanationService service(s.forest, s.background, service_config());
     net::ServerConfig cfg;
+    cfg.shards = 1;
     cfg.idle_timeout = 100ms;
-    net::ExplanationServer server(service, cfg);
+    net::ShardedServer server(s.forest, s.background, service_config(), cfg);
     server.set_row_lookup(row_lookup());
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
@@ -340,7 +333,7 @@ TEST(NetChaos, SlowLorisEvictedByIdleTimeout) {
     EXPECT_EQ(stats.connections_closed_idle, 1u);
     server.request_drain();
     loop.join();
-    service.stop();
+    server.stop_services();
 }
 
 TEST(NetChaos, TornFramesReassembleToIdenticalResponse) {
@@ -350,14 +343,14 @@ TEST(NetChaos, TornFramesReassembleToIdenticalResponse) {
     const auto request = row_request(42, 5, "tree_shap");
 
     const auto& s = scenario();
-    serve::ExplanationService service(s.forest, s.background, service_config());
     net::ServerConfig cfg;
+    cfg.shards = 1;
     net::NetFaultInjector::Config nf;
     nf.seed = 77;
     nf.rate[static_cast<std::size_t>(net::NetFaultPoint::torn_read)] = 0.5;
     nf.rate[static_cast<std::size_t>(net::NetFaultPoint::stalled_read)] = 0.3;
     cfg.chaos = std::make_shared<net::NetFaultInjector>(nf);
-    net::ExplanationServer server(service, cfg);
+    net::ShardedServer server(s.forest, s.background, service_config(), cfg);
     server.set_row_lookup(row_lookup());
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
@@ -391,40 +384,13 @@ TEST(NetChaos, TornFramesReassembleToIdenticalResponse) {
     trickle.close();
     server.request_drain();
     loop.join();
-    service.stop();
+    server.stop_services();
 }
 
-TEST(NetChaos, RstStormAbsorbedBySafeRetries) {
-    expect_rst_storm_absorbed([](const net::ServerConfig& cfg, const auto& drive) {
-        const auto& s = scenario();
-        serve::ExplanationService service(s.forest, s.background, service_config());
-        net::ExplanationServer server(service, cfg);
-        server.set_row_lookup(row_lookup());
-        std::string error;
-        ASSERT_TRUE(server.start(&error)) << error;
-        std::thread loop([&server] { server.run(); });
-        drive(server.port());
-        server.request_drain();
-        loop.join();
-        service.stop();
-    });
-}
+TEST(NetChaos, RstStormAbsorbedBySafeRetries) { expect_rst_storm_absorbed(1); }
 
 TEST(NetChaos, ShardedRstStormAbsorbedBySafeRetries) {
     // The same storm through a 2-shard fleet, where a reconnect may land on
-    // the other shard.  After the drain the fleet budget holds no slot.
-    expect_rst_storm_absorbed([](const net::ServerConfig& cfg, const auto& drive) {
-        const auto& s = scenario();
-        net::ShardedServer server(s.forest, s.background, service_config(),
-                                  {.net = cfg, .shards = 2});
-        server.set_row_lookup(row_lookup());
-        std::string error;
-        ASSERT_TRUE(server.start(&error)) << error;
-        std::thread loop([&server] { server.run(); });
-        drive(server.port());
-        server.request_drain();
-        loop.join();
-        server.stop_services();
-        EXPECT_EQ(server.budget().active.load(), 0u);
-    });
+    // the other shard.
+    expect_rst_storm_absorbed(2);
 }

@@ -5,8 +5,8 @@
 // multi-connection request stream — explains by row and by features, cache
 // repeats, malformed JSON, unknown ops, bad feature vectors, dead-on-arrival
 // deadlines, stats probes, quit barriers and half-close endings — replayed
-// against a single-loop ExplanationServer and against 1/2/4/8-shard
-// ShardedServers must produce byte-identical per-connection response
+// against a 1-shard server (one event loop, one service) and against
+// 1/2/4/8-shard servers must produce byte-identical per-connection response
 // streams, no matter which shard the kernel's SO_REUSEPORT hash lands each
 // connection on.  Stats frames are the one deliberate exception (they
 // report fleet aggregates, so net_shards and distribution-dependent fields
@@ -32,7 +32,6 @@
 #include "mlcore/forest.hpp"
 #include "net/client.hpp"
 #include "net/loadgen.hpp"
-#include "net/server.hpp"
 #include "net/sharded_server.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
@@ -231,31 +230,15 @@ std::vector<std::vector<std::string>> replay(std::uint16_t port,
     return streams;
 }
 
-/// Single-loop reference server (the pre-sharding architecture).
-std::vector<std::vector<std::string>> run_single_loop(const Recorded& rec) {
-    const auto& s = scenario();
-    serve::ExplanationService service(s.forest, s.background, service_config());
-    net::ExplanationServer server(service);
-    server.set_row_lookup(row_lookup());
-    std::string error;
-    if (!server.start(&error)) throw std::runtime_error(error);
-    std::thread loop([&server] { server.run(); });
-    auto streams = replay(server.port(), rec);
-    server.request_drain();
-    loop.join();
-    service.stop();
-    return streams;
-}
-
 std::vector<std::vector<std::string>> run_sharded(const Recorded& rec,
                                                   std::size_t shards,
                                                   serve::ServiceStats* stats_out =
                                                       nullptr) {
     const auto& s = scenario();
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = shards;
-    shcfg.net.max_connections = rec.scripts.size() + 16;
-    net::ShardedServer server(s.forest, s.background, service_config(), shcfg);
+    net::ServerConfig ncfg;
+    ncfg.shards = shards;
+    ncfg.max_connections = rec.scripts.size() + 16;
+    net::ShardedServer server(s.forest, s.background, service_config(), ncfg);
     server.set_row_lookup(row_lookup());
     std::string error;
     if (!server.start(&error)) throw std::runtime_error(error);
@@ -300,7 +283,7 @@ void expect_equivalent(const std::vector<std::vector<std::string>>& got,
 
 TEST(ShardedEquivalence, QuitEndedStreamsAreByteIdenticalAcrossShardCounts) {
     const auto rec = record_stream(24, 0xfeed2020, /*quit_ended=*/true);
-    const auto reference = run_single_loop(rec);
+    const auto reference = run_sharded(rec, 1);
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{4}, std::size_t{8}}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -312,7 +295,7 @@ TEST(ShardedEquivalence, HalfCloseEndedStreamsAreByteIdenticalAcrossShardCounts)
     // Same claim for connections ended by client half-close (peer EOF) —
     // the server must flush everything in flight, then close.
     const auto rec = record_stream(16, 0xabba1972, /*quit_ended=*/false);
-    const auto reference = run_single_loop(rec);
+    const auto reference = run_sharded(rec, 1);
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{4}, std::size_t{8}}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -360,9 +343,9 @@ TEST(ShardedEquivalence, StatsAggregateAcrossShards) {
 
 TEST(ShardedAdmin, StatsResetZerosEveryShardOverTcp) {
     const auto& s = scenario();
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 2;
-    net::ShardedServer server(s.forest, s.background, service_config(), shcfg);
+    net::ServerConfig ncfg;
+    ncfg.shards = 2;
+    net::ShardedServer server(s.forest, s.background, service_config(), ncfg);
     server.set_row_lookup(row_lookup());
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
@@ -422,6 +405,51 @@ TEST(ShardedAdmin, StatsResetZerosEveryShardOverTcp) {
     server.stop_services();
 }
 
+TEST(ShardedAdmin, StatsResetRestartsTheConnectionPeak) {
+    // stats_reset restarts the fleet's connection high-water mark from the
+    // connections open at that moment, whichever shard reads the op.
+    const auto& s = scenario();
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        net::ServerConfig ncfg;
+        ncfg.shards = shards;
+        net::ShardedServer server(s.forest, s.background, service_config(), ncfg);
+        server.set_row_lookup(row_lookup());
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        std::thread loop([&server] { server.run(); });
+        const auto await_active = [&server](std::uint64_t n) {
+            const auto deadline = std::chrono::steady_clock::now() + 30s;
+            while (server.stats().connections_active != n &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(1ms);
+            return server.stats().connections_active == n;
+        };
+
+        std::vector<net::Client> clients(3);
+        for (auto& client : clients)
+            EXPECT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
+        EXPECT_TRUE(await_active(3));
+        EXPECT_GE(server.stats().connections_active_max, 3u);
+
+        clients[1].close();
+        clients[2].close();
+        EXPECT_TRUE(await_active(1));
+        std::string reply;
+        EXPECT_TRUE(clients[0].send_line(R"({"op":"stats_reset"})"));
+        EXPECT_TRUE(clients[0].recv_line(reply, 30s));
+        EXPECT_NE(reply.find("\"op\":\"stats_reset\""), std::string::npos) << reply;
+        const auto after = server.stats();
+        EXPECT_EQ(after.connections_active, 1u);
+        EXPECT_EQ(after.connections_active_max, after.connections_active);
+
+        clients[0].close();
+        server.request_drain();
+        loop.join();
+        server.stop_services();
+    }
+}
+
 TEST(ShardedStats, SharedFaultInjectorCountsEachFireOnce) {
     // Every shard's service polls the one FaultInjector the fleet shares, so
     // its fire count is a fleet fact, read once: fleet faults_injected must
@@ -433,9 +461,9 @@ TEST(ShardedStats, SharedFaultInjectorCountsEachFireOnce) {
     const auto injector = std::make_shared<serve::FaultInjector>(fi);
     auto cfg = service_config();
     cfg.fault_injector = injector;
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 2;
-    net::ShardedServer server(s.forest, s.background, cfg, shcfg);
+    net::ServerConfig ncfg;
+    ncfg.shards = 2;
+    net::ShardedServer server(s.forest, s.background, cfg, ncfg);
     server.set_row_lookup(row_lookup());
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
@@ -574,27 +602,16 @@ TEST(ShardedStats, StatsKeysKeepTheirWireOrderOnEveryServer) {
         }
         rendered.emplace_back("in-process", serve::render_stats(service.stats()));
     }
-    {
-        serve::ExplanationService service(s.forest, s.background, service_config());
-        net::ExplanationServer server(service);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+        net::ServerConfig ncfg;
+        ncfg.shards = shards;
+        net::ShardedServer server(s.forest, s.background, service_config(), ncfg);
         server.set_row_lookup(row_lookup());
         std::string error;
         ASSERT_TRUE(server.start(&error)) << error;
         std::thread loop([&server] { server.run(); });
-        rendered.emplace_back("single-loop", stats_after(server.port(), traffic));
-        server.request_drain();
-        loop.join();
-        service.stop();
-    }
-    {
-        net::ShardedServerConfig shcfg;
-        shcfg.shards = 2;
-        net::ShardedServer server(s.forest, s.background, service_config(), shcfg);
-        server.set_row_lookup(row_lookup());
-        std::string error;
-        ASSERT_TRUE(server.start(&error)) << error;
-        std::thread loop([&server] { server.run(); });
-        rendered.emplace_back("2-shard", stats_after(server.port(), traffic));
+        rendered.emplace_back(std::to_string(shards) + "-shard",
+                              stats_after(server.port(), traffic));
         server.request_drain();
         loop.join();
         server.stop_services();

@@ -144,11 +144,11 @@ struct SoakHarness {
         cfg.queue_depth = queue_depth;
         cfg.max_batch = 16;
         cfg.cache_capacity = 4096;
-        net::ShardedServerConfig shcfg;
-        shcfg.shards = shards;
-        shcfg.net.max_connections = max_conns;
+        net::ServerConfig ncfg;
+        ncfg.shards = shards;
+        ncfg.max_connections = max_conns;
         server = std::make_unique<net::ShardedServer>(s.forest, s.background,
-                                                      cfg, shcfg);
+                                                      cfg, ncfg);
         server->set_row_lookup(row_lookup());
         std::string error;
         if (!server->start(&error))
@@ -286,7 +286,7 @@ TEST(NetSoak, TenThousandConcurrentConnectionsZeroDrops) {
     // spread them: no shard may have seen everything.
     if (conns >= 1024) {
         for (std::size_t s = 0; s < harness.server->shards(); ++s)
-            EXPECT_LT(harness.server->server(s).stats().connections_accepted,
+            EXPECT_LT(harness.server->service(s).stats().connections_accepted,
                       conns)
                 << "shard " << s << " took every connection";
     }

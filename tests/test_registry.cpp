@@ -452,9 +452,9 @@ TEST(RegistryOverTcp, HotSwapUnderLiveTcpLoadAcrossShards) {
         solo.stop();
     }
 
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 2;
-    net::ShardedServer server(s.forest_a, s.background, base_config(), shcfg);
+    net::ServerConfig ncfg;
+    ncfg.shards = 2;
+    net::ShardedServer server(s.forest_a, s.background, base_config(), ncfg);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     std::thread loop([&server] { server.run(); });
@@ -523,9 +523,9 @@ TEST(RegistryOverTcp, ModelFieldAndUseOpSelectTenantsPerConnection) {
     const auto& s = scenario();
     auto cfg = base_config();
     cfg.extra_models.push_back({"canary", s.tree, 1, 0});
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 1;
-    net::ShardedServer server(s.forest_a, s.background, cfg, shcfg);
+    net::ServerConfig ncfg;
+    ncfg.shards = 1;
+    net::ShardedServer server(s.forest_a, s.background, cfg, ncfg);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     std::thread loop([&server] { server.run(); });
@@ -646,6 +646,32 @@ TEST(ModelAdmin, LoadSwapRetireModelsOverNdjson) {
         services));
     EXPECT_EQ(bad_swap.get_string("error_code", ""), "unknown_model");
 
+    service.stop();
+    std::remove(model_file.c_str());
+}
+
+TEST(ModelAdmin, LoadRefusesAWeightOrQuotaItCannotHold) {
+    // A negative, fractional or huge weight or quota is refused by name
+    // before the model file is read, and registers nothing.
+    const auto& s = scenario();
+    const std::string model_file =
+        ::testing::TempDir() + "admin_refuse_" + std::to_string(::getpid()) + ".xnfv";
+    ml::save_model_file(*s.tree, model_file);
+    serve::ExplanationService service(s.forest_a, s.background, base_config());
+    const std::vector<std::pair<std::string, std::string>> fields{
+        {"weight", "-1"}, {"weight", "0.5"}, {"quota", "-1"}, {"quota", "1e300"}};
+    for (const auto& [field, value] : fields) {
+        SCOPED_TRACE(field + ":" + value);
+        const auto answer = serve::parse_json(serve::handle_model_admin(
+            serve::parse_json(R"({"op":"load","name":"canary","model":")" + model_file +
+                              "\",\"" + field + "\":" + value + "}"),
+            {&service}));
+        EXPECT_EQ(answer.get_string("error_code", ""), "bad_request");
+        EXPECT_EQ(answer.get_string("error", ""),
+                  "\"" + field + "\" must be a whole number in range");
+    }
+    EXPECT_FALSE(service.feature_dim("canary").has_value());
+    EXPECT_EQ(service.stats().models_registered, 1u);
     service.stop();
     std::remove(model_file.c_str());
 }

@@ -271,9 +271,9 @@ TEST(RouterServing, ServedAutoLinesAreByteIdenticalOverShardedTcp) {
     std::vector<std::vector<std::string>> scripts{
         {line(1, "auto"), line(2, "astrology"), "{\"op\":\"quit\"}"}};
 
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = 2;
-    net::ShardedServer server(z.gbt, z.background, quick_config(), shcfg);
+    net::ServerConfig ncfg;
+    ncfg.shards = 2;
+    net::ShardedServer server(z.gbt, z.background, quick_config(), ncfg);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     std::thread loop([&server] { server.run(); });

@@ -59,10 +59,10 @@ const Fixture& fixture() {
 scn::DriverReport drive(const serve::ServiceConfig& cfg, std::size_t shards,
                         const scn::DriverConfig& base) {
     const auto& f = fixture();
-    net::ShardedServerConfig shcfg;
-    shcfg.shards = shards;
+    net::ServerConfig ncfg;
+    ncfg.shards = shards;
     net::ShardedServer server(f.forest, xai::BackgroundData(f.data.x, 32), cfg,
-                              shcfg);
+                              ncfg);
     std::string error;
     if (!server.start(&error)) throw std::runtime_error(error);
     std::thread loop([&server] { server.run(); });
@@ -145,7 +145,7 @@ TEST(ScenarioDriver, ResponsesAreByteIdenticalAcrossShardCounts) {
     ASSERT_EQ(one.trace, two.trace);
     // Every chain-epoch's telemetry is unique, so no request can be a cache
     // hit on any shard and even the raw bytes (cache_hit included) must
-    // match between a single-loop-equivalent and a two-shard fleet.
+    // match between a one-shard and a two-shard fleet.
     ASSERT_EQ(one.responses.size(), two.responses.size());
     for (std::size_t i = 0; i < one.responses.size(); ++i)
         ASSERT_EQ(one.responses[i], two.responses[i]) << "response " << i;

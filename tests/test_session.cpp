@@ -4,7 +4,8 @@
 // back only when the test says so: answers leave in request order whatever
 // order completions arrive in, `stats` resolves only after every earlier
 // slot, frames after `quit` are ignored, and a rid duplicate attaches to a
-// pending original or replays a completed one.
+// pending original or replays a completed one.  A wire integer its field
+// cannot hold is refused by name.
 //
 // Across transports, one script — explains by row and by features, a rid
 // retry, every malformed-input class, `use`, an unknown model, `models`,
@@ -27,7 +28,7 @@
 
 #include "mlcore/forest.hpp"
 #include "net/client.hpp"
-#include "net/server.hpp"
+#include "net/sharded_server.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
@@ -74,12 +75,17 @@ const Scenario& scenario() {
     return s;
 }
 
-std::unique_ptr<serve::ExplanationService> make_service() {
-    const auto& s = scenario();
+serve::ServiceConfig service_config() {
     serve::ServiceConfig cfg;
     cfg.threads = 2;
-    cfg.extra_models.push_back({"canary", s.canary});
-    return std::make_unique<serve::ExplanationService>(s.forest, s.background, cfg);
+    cfg.extra_models.push_back({"canary", scenario().canary});
+    return cfg;
+}
+
+std::unique_ptr<serve::ExplanationService> make_service() {
+    const auto& s = scenario();
+    return std::make_unique<serve::ExplanationService>(s.forest, s.background,
+                                                       service_config());
 }
 
 bool row_lookup(std::size_t row, std::vector<double>& features) {
@@ -228,6 +234,54 @@ TEST(Session, RidDuplicateAttachesWhilePendingAndReplaysOnceDone) {
     EXPECT_EQ(h.session.answered(), 3u);
 }
 
+TEST(Session, RefusesWireIntegersTheirFieldsCannotHold) {
+    // Integers arrive as JSON doubles.  A fraction, a value past the field's
+    // range, a negative value for an unsigned field, or a value that is not a
+    // number is refused as bad_request naming the field, and nothing is
+    // admitted.
+    HeldSession h;
+    for (const std::string field : {"id", "seed", "rid", "row", "deadline_ms", "interactions"}) {
+        std::vector<std::string> values{"0.5", "1e300", "\"7\"", "null"};
+        if (field != "deadline_ms" && field != "interactions") values.emplace_back("-1");
+        for (const auto& value : values) {
+            SCOPED_TRACE(field + ":" + value);
+            // The first of two equal keys wins, so "row" is sent only once.
+            h.session.handle(frame(field == "row"
+                                       ? R"({"op":"explain","row":)" + value + "}"
+                                       : R"({"op":"explain","row":1,")" + field +
+                                             "\":" + value + "}"));
+            const auto lines = split_lines(h.pump());
+            ASSERT_EQ(lines.size(), 1u);
+            const auto answer = serve::parse_json(lines[0]);
+            EXPECT_EQ(answer.get_string("error_code", ""), "bad_request") << lines[0];
+            EXPECT_EQ(answer.get_string("error", ""),
+                      "\"" + field + "\" must be a whole number in range");
+        }
+    }
+    EXPECT_EQ(h.service->stats().requests_accepted, 0u);
+
+    // Where a field gives -1 a meaning, it keeps it: no deadline, no pairs.
+    h.session.handle(frame(R"({"op":"explain","row":1,"deadline_ms":-1,"interactions":-1})"));
+    const auto done = h.await(1);
+    h.session.fulfill(done[0].first, done[0].second);
+    const auto lines = split_lines(h.pump());
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+    EXPECT_EQ(lines[0].find("\"interactions\""), std::string::npos) << lines[0];
+
+    // A request by features never reads "row", so any value there is unused.
+    const auto x = scenario().data.x.row(7);
+    std::string features;
+    for (std::size_t j = 0; j < x.size(); ++j)
+        features += (j ? "," : "") + serve::json_number(x[j]);
+    h.session.handle(frame(R"({"op":"explain","row":1e300,"features":[)" + features + "]}"));
+    const auto features_done = h.await(2);
+    h.session.fulfill(features_done[1].first, features_done[1].second);
+    const auto served = split_lines(h.pump());
+    ASSERT_EQ(served.size(), 1u);
+    EXPECT_NE(served[0].find("\"ok\":true"), std::string::npos) << served[0];
+}
+
 // ------------------------------------------------------------ transports ---
 
 /// One script over every op and error class.  Each explain asks for its
@@ -265,6 +319,7 @@ std::vector<std::string> script() {
         R"({"op":"models"})",
         R"({"op":"stats_reset"})",
         R"({"op":"explain","row":10,"model":"canary"})",
+        R"({"op":"explain","row":1e300})",
         R"({"op":"quit"})",
         R"({"op":"explain","row":11})",
         R"({"op":"models"})",
@@ -283,8 +338,10 @@ std::vector<std::string> over_stream(const std::vector<std::string>& lines) {
 }
 
 std::vector<std::string> over_tcp(const std::vector<std::string>& lines) {
-    auto service = make_service();
-    net::ExplanationServer server(*service);
+    const auto& s = scenario();
+    net::ServerConfig cfg;
+    cfg.shards = 1;
+    net::ShardedServer server(s.forest, s.background, service_config(), cfg);
     server.set_row_lookup(row_lookup);
     std::string error;
     if (!server.start(&error)) throw std::runtime_error("server start failed: " + error);
@@ -303,7 +360,7 @@ std::vector<std::string> over_tcp(const std::vector<std::string>& lines) {
     }
     server.request_drain();
     loop.join();
-    service->stop();
+    server.stop_services();
     return got;
 }
 
@@ -312,7 +369,7 @@ TEST(Session, StdinAndTcpAnswerOneScriptAlike) {
     const auto stream = over_stream(lines);
     const auto tcp = over_tcp(lines);
     // Every frame up to quit is answered; nothing after it.
-    ASSERT_EQ(stream.size(), 20u);
+    ASSERT_EQ(stream.size(), 21u);
     ASSERT_EQ(tcp.size(), stream.size());
     for (std::size_t i = 0; i < stream.size(); ++i)
         EXPECT_EQ(tcp[i], stream[i]) << "line " << i << " of the script";
@@ -323,6 +380,8 @@ TEST(Session, StdinAndTcpAnswerOneScriptAlike) {
     EXPECT_NE(stream[11].find("\"op\":\"use\""), std::string::npos) << stream[11];
     EXPECT_NE(stream[13].find("unknown_model"), std::string::npos) << stream[13];
     EXPECT_NE(stream[18].find("\"op\":\"stats_reset\""), std::string::npos) << stream[18];
+    EXPECT_EQ(serve::parse_json(stream[20]).get_string("error", ""),
+              "\"row\" must be a whole number in range");
 }
 
 TEST(Session, StreamStopsReadingAtQuit) {

@@ -27,7 +27,6 @@
 #include "core/occlusion.hpp"
 #include "core/report.hpp"
 #include "core/sampling_shapley.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/gbt.hpp"
 #include "mlcore/linear.hpp"
@@ -39,7 +38,6 @@
 #include "net/chaos.hpp"
 #include "net/client.hpp"
 #include "net/loadgen.hpp"
-#include "net/server.hpp"
 #include "net/sharded_server.hpp"
 #include "scenario/driver.hpp"
 #include "serve/explainers.hpp"
@@ -475,10 +473,13 @@ int cmd_serve(const Args& args) {
             if (m.spec.name.empty() || file.empty())
                 throw std::runtime_error(
                     at + "manifest lines need \"name\" and \"model\"");
+            const auto weight = entry.get_integer("weight", std::size_t{1});
+            const auto quota = entry.get_integer("quota", std::size_t{0});
+            if (!(weight && quota))
+                throw std::runtime_error(at + serve::integer_error(weight ? "quota" : "weight"));
             m.spec.model = ml::load_model_file(file);
-            m.spec.weight =
-                static_cast<std::size_t>(entry.get_number("weight", 1));
-            m.spec.quota = static_cast<std::size_t>(entry.get_number("quota", 0));
+            m.spec.weight = *weight;
+            m.spec.quota = *quota;
             const auto* def = entry.find("default");
             m.is_default = def != nullptr &&
                            def->type == serve::JsonValue::Type::boolean &&
@@ -514,17 +515,15 @@ int cmd_serve(const Args& args) {
     // sharded server owns one service per shard, so the stdin service below
     // is only built for the stdin path.
     if (args.has("listen")) {
-        xnfv::net::ShardedServerConfig shcfg;
-        shcfg.net.host = args.get("host", "127.0.0.1");
-        shcfg.net.port = static_cast<std::uint16_t>(args.get_int("listen", 0));
-        shcfg.net.max_connections =
-            static_cast<std::size_t>(args.get_int("max-conns", 256));
-        shcfg.net.idle_timeout =
-            std::chrono::milliseconds(args.get_int("idle-timeout-ms", 0));
-        shcfg.net.max_output_bytes =
+        xnfv::net::ServerConfig ncfg;
+        ncfg.host = args.get("host", "127.0.0.1");
+        ncfg.port = static_cast<std::uint16_t>(args.get_int("listen", 0));
+        ncfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
+        ncfg.max_connections = static_cast<std::size_t>(args.get_int("max-conns", 256));
+        ncfg.idle_timeout = std::chrono::milliseconds(args.get_int("idle-timeout-ms", 0));
+        ncfg.max_output_bytes =
             static_cast<std::size_t>(args.get_int("max-output", 8 << 20));
-        shcfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
-        shcfg.net.dedup_window = dedup_window;
+        ncfg.dedup_window = dedup_window;
 
         // Network-layer chaos: any nonzero rate arms a seeded socket fault
         // injector shared by every shard (fires are fleet-global counters).
@@ -549,11 +548,11 @@ int cmd_serve(const Args& args) {
             bool armed = false;
             for (const double r : nf.rate) armed = armed || r > 0.0;
             if (armed)
-                shcfg.net.chaos = std::make_shared<xnfv::net::NetFaultInjector>(nf);
+                ncfg.chaos = std::make_shared<xnfv::net::NetFaultInjector>(nf);
         }
 
         xnfv::net::ShardedServer server(model, xai::BackgroundData(data.x, 128),
-                                        cfg, shcfg);
+                                        cfg, ncfg);
         server.set_row_lookup(rows);
         std::string err;
         if (!server.start(&err)) {
@@ -565,7 +564,7 @@ int cmd_serve(const Args& args) {
         std::signal(SIGINT, serve_signal_handler);
         // First stdout line is machine-readable so scripts can discover an
         // ephemeral port (--listen 0); its format is load-bearing.
-        std::printf("listening on %s:%u\n", shcfg.net.host.c_str(),
+        std::printf("listening on %s:%u\n", ncfg.host.c_str(),
                     static_cast<unsigned>(server.port()));
         std::printf("shards %zu\n", server.shards());
         std::fflush(stdout);
