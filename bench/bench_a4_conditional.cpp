@@ -21,7 +21,7 @@
 
 #include "bench_util.hpp"
 #include "core/exact_shapley.hpp"
-#include "core/tree_shap.hpp"
+#include "core/flat_tree_shap.hpp"
 
 namespace ml = xnfv::ml;
 namespace xai = xnfv::xai;

@@ -12,10 +12,10 @@
 
 #include "bench_util.hpp"
 #include "core/evaluate.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/kernel_shap.hpp"
 #include "core/lime.hpp"
 #include "core/occlusion.hpp"
-#include "core/tree_shap.hpp"
 
 namespace ml = xnfv::ml;
 namespace xai = xnfv::xai;

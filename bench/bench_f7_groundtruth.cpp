@@ -18,8 +18,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/lime.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/metrics.hpp"
 #include "nfv/placement.hpp"
 #include "nfv/simulator.hpp"

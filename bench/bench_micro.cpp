@@ -13,8 +13,8 @@
 #include <cstdlib>
 
 #include "bench_util.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/parallel.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/matrix.hpp"
 #include "nfv/placement.hpp"
 #include "nfv/simulator.hpp"
@@ -50,24 +50,33 @@ void BM_ForestPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredict);
 
-void BM_TreeShapSingleTree(benchmark::State& state) {
-    const auto& f = forest();
+// The TreeSHAP rows time the flat kernel (core/flat_tree_shap.hpp), and each
+// name says what it times: "Prebuilt" walks a kernel built once, as the
+// server does per model; "BuildAndWalk" calls the TreeShap explainer, which
+// builds the kernel for every explanation.
+void BM_TreeShapSingleTreePrebuilt(benchmark::State& state) {
+    const auto flat = xai::FlatTreeShap::build(forest().trees()[0]);
     const auto x = task().test.x.row(0);
-    std::vector<double> phi(task().test.num_features());
-    for (auto _ : state) {
-        std::fill(phi.begin(), phi.end(), 0.0);
-        benchmark::DoNotOptimize(xai::tree_shap_single(f.trees()[0], x, phi));
-    }
+    xai::FlatShapScratch scratch;
+    for (auto _ : state) benchmark::DoNotOptimize(flat->explain(x, scratch));
 }
-BENCHMARK(BM_TreeShapSingleTree);
+BENCHMARK(BM_TreeShapSingleTreePrebuilt);
 
-void BM_TreeShapForest(benchmark::State& state) {
+void BM_TreeShapForestPrebuilt(benchmark::State& state) {
+    const auto flat = xai::FlatTreeShap::build(forest());
+    const auto x = task().test.x.row(0);
+    xai::FlatShapScratch scratch;
+    for (auto _ : state) benchmark::DoNotOptimize(flat->explain(x, scratch));
+}
+BENCHMARK(BM_TreeShapForestPrebuilt);
+
+void BM_TreeShapForestBuildAndWalk(benchmark::State& state) {
     const auto& f = forest();
     const auto x = task().test.x.row(0);
     xai::TreeShap ts;
     for (auto _ : state) benchmark::DoNotOptimize(ts.explain(f, x));
 }
-BENCHMARK(BM_TreeShapForest);
+BENCHMARK(BM_TreeShapForestBuildAndWalk);
 
 void BM_WeightedLeastSquares(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

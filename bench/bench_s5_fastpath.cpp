@@ -14,7 +14,9 @@
 //           plus the two endpoint predictions);
 //   gates:  both eval reductions must be >= 10x (exit 1 otherwise), the
 //           flat kernel must stay bitwise-identical to the recursive
-//           walker (attributions, base value and prediction), and IG
+//           walker (tests/tree_shap_oracle.hpp, linked only into this
+//           gate and the tests: attributions, base value and prediction),
+//           and IG
 //           completeness must hold within tolerance.
 //
 // JSON artifact (default BENCH_s5_fastpath.json, overridable via argv[1]).
@@ -30,8 +32,8 @@
 #include "bench_util.hpp"
 #include "core/flat_tree_shap.hpp"
 #include "core/gradient.hpp"
-#include "core/tree_shap.hpp"
 #include "serve/service.hpp"
+#include "tree_shap_oracle.hpp"
 
 namespace bench = xnfv::bench;
 namespace ml = xnfv::ml;
@@ -123,7 +125,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     xai::FlatShapScratch scratch;
-    xai::TreeShap recursive;
+    xnfv::oracle::RecursiveTreeShap recursive;
     bench::Stopwatch sw;
     for (std::size_t i = 0; i < rows.rows(); ++i)
         (void)flat->explain(rows.row(i), scratch);

@@ -17,12 +17,12 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/gradient.hpp"
 #include "core/kernel_shap.hpp"
 #include "core/lime.hpp"
 #include "core/occlusion.hpp"
 #include "core/sampling_shapley.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/metrics.hpp"
 #include "mlcore/mlp.hpp"
 #include "mlcore/preprocess.hpp"

@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "core/aggregate.hpp"
-#include "core/tree_shap.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "mlcore/metrics.hpp"
 
 namespace ml = xnfv::ml;

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/tree_shap.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "mlcore/metrics.hpp"
 #include "nfv/remediation.hpp"
 #include "nfv/simulator.hpp"

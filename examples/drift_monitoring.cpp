@@ -13,7 +13,7 @@
 
 #include "core/aggregate.hpp"
 #include "core/drift.hpp"
-#include "core/tree_shap.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "mlcore/forest.hpp"
 #include "workload/dataset_builder.hpp"
 

@@ -8,7 +8,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/tree_shap.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/metrics.hpp"
 #include "workload/dataset_builder.hpp"

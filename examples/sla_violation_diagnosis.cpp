@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "core/aggregate.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/surrogate.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/metrics.hpp"
 #include "workload/dataset_builder.hpp"

@@ -93,8 +93,7 @@ std::shared_ptr<const FlatTreeShap> FlatTreeShap::build(const xnfv::ml::Model& m
     }
     out->num_features_ = model.num_features();
 
-    // The base value in the ensemble aggregation order of the recursive
-    // TreeShap::explain.
+    // The base value in the recursive walker's ensemble aggregation order.
     double base = out->kind_ == Kind::gbt ? out->base_score_ : 0.0;
     for (const auto t : trees) {
         const double tree_base = out->add_tree(t);
@@ -322,7 +321,7 @@ double FlatTreeShap::predict(std::span<const double> x) const {
             double m = base_score_;
             for (std::size_t t = 0; t < roots_.size(); ++t)
                 m += learning_rate_ * tree_value(t, x);
-            return m;  // margin space, matching TreeShap::explain
+            return m;  // margin space, matching the recursive walker
         }
     }
     return 0.0;  // unreachable
@@ -424,29 +423,28 @@ std::vector<Explanation> FlatTreeShap::explain_batch(const xnfv::ml::Matrix& ins
     return out;
 }
 
-const FlatTreeShap& FlatTreeShapExplainer::ensure(const xnfv::ml::Model& model) {
-    if (flat_ == nullptr || cached_model_ != &model) {
-        auto flat = FlatTreeShap::build(model);
-        if (flat == nullptr)
-            throw std::invalid_argument("TreeShap: model '" + model.name() +
-                                        "' is not a supported tree ensemble");
-        flat_ = std::move(flat);
-        cached_model_ = &model;
-        scratch_.resize(flat_->num_features(), flat_->max_depth());
-    }
-    return *flat_;
+namespace {
+
+std::shared_ptr<const FlatTreeShap> build_or_throw(const xnfv::ml::Model& model) {
+    auto flat = FlatTreeShap::build(model);
+    if (flat == nullptr)
+        throw std::invalid_argument("TreeShap: model '" + model.name() +
+                                    "' is not a supported tree ensemble");
+    return flat;
 }
 
-Explanation FlatTreeShapExplainer::explain(const xnfv::ml::Model& model,
-                                           std::span<const double> x) {
+}  // namespace
+
+Explanation TreeShap::explain(const xnfv::ml::Model& model, std::span<const double> x) {
     if (x.size() != model.num_features())
         throw std::invalid_argument("TreeShap: input size mismatch");
-    return ensure(model).explain(x, scratch_);
+    FlatShapScratch scratch;
+    return build_or_throw(model)->explain(x, scratch);
 }
 
-std::vector<Explanation> FlatTreeShapExplainer::explain_batch(
-    const xnfv::ml::Model& model, const xnfv::ml::Matrix& instances) {
-    return ensure(model).explain_batch(instances, threads_);
+std::vector<Explanation> TreeShap::explain_batch(const xnfv::ml::Model& model,
+                                                 const xnfv::ml::Matrix& instances) {
+    return build_or_throw(model)->explain_batch(instances, threads_);
 }
 
 }  // namespace xnfv::xai

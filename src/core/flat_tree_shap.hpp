@@ -1,13 +1,21 @@
-// Batched flat-tree TreeSHAP: the exact path-dependent algorithm of
-// core/tree_shap.hpp re-implemented over a structure-of-arrays ensemble
-// layout, with everything the instance cannot change computed once, at
-// build time.
+// Exact TreeSHAP for tree ensembles: the library's one TreeSHAP, over a
+// structure-of-arrays ensemble layout, with everything the instance cannot
+// change computed once, at build time.
 //
-// Why a second implementation exists: the recursive walker pointer-chases
-// 48-byte TreeNode structs, re-collapses the path and allocates at every
-// leaf, and rebuilds each leaf's subset-size polynomials per request.
-// Only the leaf's 0/1 indicator pattern depends on x.  build() therefore
-// records, per model:
+// The value function is the path-dependent one of Lundberg et al. (2018):
+// v(S) = EXPVALUE(x, S) follows x for features in S and splits by training
+// cover for the rest.  v(S) decomposes over leaves, and a leaf's reach
+// probability factorises per distinct path feature j into a_j (x passes
+// every split on j) when j is in S and b_j (the product of the j-edges'
+// cover ratios) when it is not, so each leaf's Shapley sums come from a
+// polynomial DP over its m distinct path features.  Features off the path
+// get nothing from that leaf.
+//
+// Why a build step: the plain recursive walk of that algorithm
+// (tests/tree_shap_oracle.hpp, the tests' reference) pointer-chases 48-byte
+// TreeNode structs, re-collapses the path and allocates at every leaf, and
+// rebuilds each leaf's subset-size polynomials per request.  Only the leaf's
+// 0/1 indicator pattern depends on x.  build() therefore records, per model:
 //   * the node arrays of every tree, concatenated (int32 feature / child
 //     ids, double threshold / leaf value), plus each split node's slot: the
 //     position of its feature on the collapsed path (distinct features in
@@ -39,8 +47,8 @@
 // it per feature.  Leaf visit order, per-leaf feature order, the lgamma
 // Shapley weights and the ensemble aggregation order are the recursive
 // walker's, so attributions, base values and predictions are bitwise-equal
-// to TreeShap::explain at any thread count.  tests/test_fast_path.cpp pins
-// this, on wide paths and against hex-float goldens too.
+// to the oracle's at any thread count.  tests/test_fast_path.cpp pins this,
+// on wide paths and against hex-float goldens recorded from the walker.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +96,7 @@ public:
     /// Builds from a DecisionTree, RandomForest, or GradientBoostedTrees.
     /// Returns nullptr for any other model type (the router falls back to
     /// probe explainers).  Throws std::invalid_argument on an unfitted
-    /// ensemble, matching the recursive TreeShap messages.
+    /// ensemble.
     [[nodiscard]] static std::shared_ptr<const FlatTreeShap> build(
         const xnfv::ml::Model& model);
 
@@ -103,8 +111,8 @@ public:
     static constexpr std::size_t kMaxTableWidth = 5;
 
     /// Exact SHAP attributions + prediction for one instance, bitwise equal
-    /// to TreeShap::explain on the source model.  Once `scratch` is warm, the
-    /// returned attribution vector is the only allocation
+    /// to the recursive walker's.  Once `scratch` is warm, the returned
+    /// attribution vector is the only allocation
     /// (tests/test_probe_alloc.cpp).  Throws std::invalid_argument on size
     /// mismatch.
     [[nodiscard]] Explanation explain(std::span<const double> x,
@@ -186,15 +194,24 @@ private:
     double learning_rate_ = 0.0;  ///< GBT only
 };
 
-/// Drop-in Explainer for the exact tree fast path: same name ("tree_shap"),
-/// same results (bitwise), same error text as the recursive TreeShap, but
-/// runs the flat kernel and reuses its scratch across calls.  The flat
-/// snapshot is built lazily on first explain() and rebuilt if a different
-/// model is passed.
-class FlatTreeShapExplainer final : public Explainer {
+/// The tree_shap Explainer.  It holds no kernel between calls: explain()
+/// builds the flat kernel for the model it is given and walks it, and
+/// explain_batch() builds once per call.  A kernel cached by model address
+/// would explain a model re-fit in place, or a new model built in the same
+/// storage, with the old trees.  A caller that explains many rows of one
+/// model uses explain_batch() or keeps a FlatTreeShap::build() result, as
+/// the server does in each model snapshot.  Throws std::invalid_argument
+/// for a model that is not a supported tree ensemble.
+///
+/// For GBT classifiers the attribution is computed in margin (log-odds)
+/// space, where the ensemble is additive: `prediction` and `base_value` are
+/// margins, and the efficiency identity holds in that space.  Compare
+/// rankings, not magnitudes, against probability-space explainers (as
+/// experiment T2 does).
+class TreeShap final : public Explainer {
 public:
-    FlatTreeShapExplainer() = default;
-    explicit FlatTreeShapExplainer(std::size_t threads) : threads_(threads) {}
+    TreeShap() = default;
+    explicit TreeShap(std::size_t threads) : threads_(threads) {}
 
     [[nodiscard]] Explanation explain(const xnfv::ml::Model& model,
                                       std::span<const double> x) override;
@@ -205,11 +222,6 @@ public:
     [[nodiscard]] std::string name() const override { return "tree_shap"; }
 
 private:
-    const FlatTreeShap& ensure(const xnfv::ml::Model& model);
-
-    const xnfv::ml::Model* cached_model_ = nullptr;
-    std::shared_ptr<const FlatTreeShap> flat_;
-    FlatShapScratch scratch_;
     std::size_t threads_ = 0;
 };
 

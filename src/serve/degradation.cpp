@@ -13,9 +13,9 @@ DegradationPolicy::DegradationPolicy(DegradationConfig config) : config_(config)
             std::max(config_.baseline_queue_depth, config_.reduced_queue_depth);
 }
 
-DegradeLevel DegradationPolicy::classify(const Load& load) const noexcept {
-    const auto crossed = [&load](std::size_t threshold) {
-        return threshold != 0 && load.queue_depth >= threshold;
+DegradeLevel DegradationPolicy::classify(std::size_t queue_depth) const noexcept {
+    const auto crossed = [queue_depth](std::size_t threshold) {
+        return threshold != 0 && queue_depth >= threshold;
     };
     if (crossed(config_.baseline_queue_depth)) return DegradeLevel::baseline;
     if (crossed(config_.reduced_queue_depth)) return DegradeLevel::reduced;

@@ -61,12 +61,9 @@ public:
     DegradationPolicy() = default;
     explicit DegradationPolicy(DegradationConfig config);
 
-    struct Load {
-        std::size_t queue_depth = 0;  ///< depth the request saw at admission
-    };
-
-    /// The most degraded rung a crossed threshold demands.
-    [[nodiscard]] DegradeLevel classify(const Load& load) const noexcept;
+    /// The most degraded rung a crossed threshold demands of a request
+    /// that saw `queue_depth` jobs queued at admission.
+    [[nodiscard]] DegradeLevel classify(std::size_t queue_depth) const noexcept;
 
     [[nodiscard]] const DegradationConfig& config() const noexcept { return config_; }
     [[nodiscard]] bool enabled() const noexcept { return config_.enabled(); }

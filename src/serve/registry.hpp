@@ -168,10 +168,12 @@ public:
     [[nodiscard]] bool breaker_admit(const BreakerConfig& cfg,
                                      std::chrono::steady_clock::time_point now);
     /// Records one compute outcome (`ok` = served without a compute-path
-    /// error) and advances the state machine.  Called once per executed job.
+    /// error) and advances the state machine.  Called once per job that ran
+    /// an explainer or was answered from the cache.
     void breaker_record(const BreakerConfig& cfg, bool ok);
-    /// Releases a half-open probe that was admitted but never executed
-    /// (queue rejection after admission) so the next request can probe.
+    /// Releases a half-open probe whose job produced no compute outcome (a
+    /// queue rejection after admission, a method the model cannot run, or
+    /// a deadline that expired in the queue) so the next request can probe.
     void breaker_abandon(const BreakerConfig& cfg);
     /// 0 closed / 1 open / 2 half-open (ServiceStats::models).
     [[nodiscard]] int breaker_state() const;

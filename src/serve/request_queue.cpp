@@ -63,15 +63,10 @@ Job RequestQueue::pop_locked() {
     return job;
 }
 
-std::vector<Job> RequestQueue::pop_batch(std::chrono::steady_clock::time_point deadline,
-                                         std::size_t max) {
+std::vector<Job> RequestQueue::pop_batch(std::size_t max) {
     std::vector<Job> batch;
     std::unique_lock lock(mutex_);
-    const auto ready = [this] { return total_ > 0 || closed_; };
-    if (deadline == std::chrono::steady_clock::time_point::max())
-        not_empty_.wait(lock, ready);
-    else
-        not_empty_.wait_until(lock, deadline, ready);
+    not_empty_.wait(lock, [this] { return total_ > 0 || closed_; });
     const std::size_t n = std::min(total_, std::max<std::size_t>(1, max));
     batch.reserve(n);
     while (batch.size() < n) batch.push_back(pop_locked());

@@ -132,7 +132,7 @@ struct ClassConfig {
 /// quotas and deficit-weighted-round-robin pop order.
 ///
 /// try_push never blocks: a full or closed queue rejects with a reason.
-/// pop_batch blocks only while the queue is empty, up to a deadline.
+/// pop_batch blocks only while the queue is empty and open.
 class RequestQueue {
 public:
     /// `depth` is the global backpressure limit (clamped to at least 1).
@@ -151,12 +151,10 @@ public:
     /// job's depth_at_enqueue is stamped with the resulting total depth.
     [[nodiscard]] ServeError try_push(Job job);
 
-    /// Waits until a job is queued, `deadline` passes, or the queue is
-    /// closed and drained; then pops every queued job, up to `max` (at
-    /// least 1), in DWRR order.  Empty = timed out or drained.  A deadline
-    /// in the past never blocks; time_point::max() never times out.
-    [[nodiscard]] std::vector<Job> pop_batch(
-        std::chrono::steady_clock::time_point deadline, std::size_t max);
+    /// Waits until a job is queued or the queue is closed and drained; then
+    /// pops every queued job, up to `max` (at least 1), in DWRR order.
+    /// Empty = closed and drained.
+    [[nodiscard]] std::vector<Job> pop_batch(std::size_t max);
 
     /// Marks the queue closed: future try_push calls reject, and consumers
     /// waiting on an empty queue wake up.  Already-queued jobs stay poppable.
@@ -166,7 +164,6 @@ public:
     [[nodiscard]] std::size_t size() const;
     /// Jobs currently queued in one class (0 for an unknown class).
     [[nodiscard]] std::size_t class_size(std::size_t model_class) const;
-    [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
 
 private:
     /// One scheduling class: its FIFO, admission quota, and DWRR state.

@@ -116,11 +116,9 @@ std::unique_ptr<xai::Explainer> make_explainer(const std::string& method,
     // Coalitions, permutations, samples or steps: the one budget formula.
     const auto budget = static_cast<std::size_t>(
         effective_budget(method, limits.budget_scale, background, limits.ig_steps));
-    // The flat kernel is the tree_shap implementation everywhere — one-shot
-    // and served paths alike — and is pinned bitwise-identical to the
-    // recursive walker by tests/test_fast_path.cpp.
-    if (method == "tree_shap")
-        return std::make_unique<xai::FlatTreeShapExplainer>(threads);
+    // The flat kernel is the one tree_shap implementation, one-shot and
+    // served paths alike.
+    if (method == "tree_shap") return std::make_unique<xai::TreeShap>(threads);
     if (method == "integrated_gradients") {
         xai::IntegratedGradients::Config cfg;
         cfg.steps = budget;
@@ -322,7 +320,7 @@ ServeError ExplanationService::submit_async(
             job.model_entry->admitted.inc();
             metrics_.inc(&ServiceStats::requests_accepted);
             metrics_.inc(&ServiceStats::cache_hits);
-            record_completion(job, r, Clock::now());
+            record_completion(job, r, Clock::now(), true);
             note_stall(job.enqueued_at);
             if (hit != nullptr)
                 *hit = std::move(r);
@@ -373,10 +371,9 @@ void ExplanationService::dispatcher_loop() {
         // until the pop returns, and is stamped once per batch.
         heartbeat_ns_.store(kIdleHeartbeat, std::memory_order_relaxed);
         // Work-conserving: block only until the first job, then run it with
-        // everything already queued behind it.  With no deadline, an empty
-        // pop means the queue is closed and drained.
-        std::vector<Job> batch =
-            queue_.pop_batch(Clock::time_point::max(), config_.max_batch);
+        // everything already queued behind it.  An empty pop means the queue
+        // is closed and drained.
+        std::vector<Job> batch = queue_.pop_batch(config_.max_batch);
         if (batch.empty()) return;
         heartbeat_ns_.store(Clock::now().time_since_epoch().count(),
                             std::memory_order_relaxed);
@@ -592,6 +589,7 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     for (const Job& job : batch) keys.push_back(key_for(job));
 
     std::vector<ExplainResponse> responses(batch.size());
+    std::vector<char> expired(batch.size(), 0);
     std::vector<DegradeLevel> levels(batch.size(), DegradeLevel::full);
     std::vector<std::size_t> to_compute;
     to_compute.reserve(batch.size());
@@ -600,13 +598,14 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
         responses[i].id = batch[i].request.id;
         if (batch_now >= batch[i].deadline) {
+            expired[i] = 1;
             responses[i].ok = false;
             responses[i].error_code = ServeError::deadline_exceeded;
             responses[i].error = "deadline expired before execution";
             continue;
         }
         if (degrade_.enabled())
-            levels[i] = degrade_.classify({batch[i].depth_at_enqueue});
+            levels[i] = degrade_.classify(batch[i].depth_at_enqueue);
         auto& level_inflight = inflight[static_cast<std::size_t>(levels[i])];
         if (auto cached = batch[i].model_entry->cache.lookup(keys[i])) {
             responses[i].ok = true;
@@ -673,7 +672,9 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     }
     const auto done = Clock::now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        record_completion(batch[i], responses[i], done);
+        record_completion(batch[i], responses[i], done,
+                          !expired[i] &&
+                              responses[i].error_code != ServeError::unsupported_explainer);
         try {
             batch[i].on_complete(std::move(responses[i]));
         } catch (...) {
@@ -684,11 +685,18 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
 
 void ExplanationService::record_completion(const Job& job,
                                            const ExplainResponse& response,
-                                           Clock::time_point done) {
+                                           Clock::time_point done, bool compute_outcome) {
     metrics_.service_time_us.record(elapsed_us(job.enqueued_at, done));
     metrics_.inc(&ServiceStats::requests_completed);
     job.model_entry->completed.inc();
-    job.model_entry->breaker_record(config_.breaker, response.ok);
+    // Only compute outcomes feed the breaker (DESIGN.md §15).  A method the
+    // model cannot run is the client's mistake, and a job that expired in
+    // the queue never ran; neither says anything about the model, so each
+    // only releases a half-open probe, which would otherwise wedge.
+    if (compute_outcome)
+        job.model_entry->breaker_record(config_.breaker, response.ok);
+    else
+        job.model_entry->breaker_abandon(config_.breaker);
     if (response.ok) {
         job.model_snapshot->base_value.store(response.explanation.base_value,
                                              std::memory_order_relaxed);

@@ -305,11 +305,13 @@ private:
     /// Writes a snapshot every snapshot_interval until stop() asks it to end.
     void snapshot_loop(std::stop_token stop);
     void execute_batch(std::vector<Job> batch);
-    /// Counts one answered job, cache hit or computed: its service time from
-    /// admission to `done`, the completion, the breaker outcome, and the
-    /// snapshot's base value or the error reason.
+    /// Counts one answered job: its service time from admission to `done`,
+    /// the completion, the snapshot's base value or the error reason, and,
+    /// when `compute_outcome` (the job ran an explainer or was answered from
+    /// the cache), the breaker outcome.
     void record_completion(const Job& job, const ExplainResponse& response,
-                           std::chrono::steady_clock::time_point done);
+                           std::chrono::steady_clock::time_point done,
+                           bool compute_outcome);
     /// Validation/resolution for submit_async(): resolves the model name,
     /// validates the payload, and stamps `job` (entry, pinned snapshot,
     /// class, timestamps).  Non-none = reject.

@@ -11,7 +11,7 @@ namespace xnfv::serve {
 namespace {
 
 constexpr std::uint64_t kFileMagic = 0x3150414e53564e58ULL;  // "XNVSNAP1"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // 2: records carry interaction pairs
 constexpr std::uint32_t kRecordMagic = 0x52564e58U;  // "XNVR"
 
 /// The CRC-32 lookup table, built once.
@@ -88,6 +88,12 @@ struct ByteReader {
     for (const double a : rec.explanation.attributions) w.f64(a);
     w.u64(rec.explanation.feature_names.size());
     for (const std::string& name : rec.explanation.feature_names) w.str(name);
+    w.u64(rec.explanation.interactions.size());
+    for (const xai::InteractionPair& p : rec.explanation.interactions) {
+        w.u64(p.i);
+        w.u64(p.j);
+        w.f64(p.h2);
+    }
     return std::move(w.bytes);
 }
 
@@ -115,6 +121,15 @@ struct ByteReader {
     rec.explanation.feature_names.resize(n);
     for (std::string& name : rec.explanation.feature_names)
         if (!r.str(name)) return false;
+    if (!r.u64(n)) return false;
+    if (n > payload.size() / (3 * sizeof(std::uint64_t))) return false;
+    rec.explanation.interactions.resize(n);
+    for (xai::InteractionPair& p : rec.explanation.interactions) {
+        std::uint64_t i = 0, j = 0;
+        if (!r.u64(i) || !r.u64(j) || !r.f64(p.h2)) return false;
+        p.i = i;
+        p.j = j;
+    }
     return r.done();
 }
 

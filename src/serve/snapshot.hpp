@@ -27,6 +27,9 @@
 //   payload: u64 context | u64 nwords | nwords*u64
 //          | method (u32 len + bytes) | f64 prediction | f64 base_value
 //          | u64 nattr | nattr*f64 | u64 nnames | nnames*(u32 len + bytes)
+//          | u64 npairs | npairs*(u64 i | u64 j | f64 h2)
+// Version 2 added the interaction pairs; a version-1 file fails the header
+// check, and its model starts cold.
 #pragma once
 
 #include <cstdint>

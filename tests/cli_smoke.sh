@@ -93,6 +93,21 @@ for want, line in enumerate(lines, 1):
     assert r["ok"] is True and r["id"] == want, line
 EOF
 
+# A restored snapshot entry keeps its interaction pairs: the restarted
+# service answers the same "interactions" request as a hit with the same
+# bytes as the first run (modulo cache_hit).
+printf '{"op":"explain","row":3,"interactions":2}\n' \
+  | "$CLI" serve --model "$DIR/rf.xnfv" --data "$DIR/data.csv" \
+      --snapshot "$DIR/snap_h2.bin" > "$DIR/h2_1.out"
+printf '{"op":"explain","row":3,"interactions":2}\n' \
+  | "$CLI" serve --model "$DIR/rf.xnfv" --data "$DIR/data.csv" \
+      --snapshot "$DIR/snap_h2.bin" > "$DIR/h2_2.out"
+grep -q '"interactions":\[{"i":' "$DIR/h2_1.out"
+grep -q '"cache_hit":true' "$DIR/h2_2.out"
+sed 's/"cache_hit":[a-z]*/"cache_hit":_/' "$DIR/h2_1.out" > "$DIR/h2_1.norm"
+sed 's/"cache_hit":[a-z]*/"cache_hit":_/' "$DIR/h2_2.out" > "$DIR/h2_2.norm"
+cmp -s "$DIR/h2_1.norm" "$DIR/h2_2.norm"
+
 # Serving over TCP: background `serve --listen 0`, probe it with netprobe,
 # then SIGTERM for a graceful drain.  The TCP answer for the same request
 # must be byte-identical to the stdin-served one (modulo cache_hit).

@@ -2,8 +2,8 @@
 
 #include "core/drift.hpp"
 #include "core/exact_shapley.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/report.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/linear.hpp"
 #include "test_util.hpp"

@@ -1,12 +1,14 @@
 // Fast-path explainer pins (DESIGN.md §16).
 //
-// 1. FlatTreeShap must be *bitwise identical* to the recursive
-//    core/tree_shap walker on DecisionTree / RandomForest / GBT — every
+// 1. FlatTreeShap must be *bitwise identical* to the recursive walker
+//    (tests/tree_shap_oracle.hpp) on DecisionTree / RandomForest / GBT — every
 //    attribution, base value and prediction compared with exact double
 //    equality, single-threaded and through the tree-major-blocked batch
 //    kernel at several thread counts.  The cases cover leaves wider than the
 //    kernel's precomputed tables, rows on split thresholds, and a path wider
 //    than one 64-bit indicator mask; hex-float goldens pin the absolute bits.
+//    The TreeShap adapter must follow the model it is handed, not its
+//    address.
 // 2. Integrated Gradients must satisfy the completeness axiom
 //    (sum phi = f(x) − f(baseline)): ulp-scaled on a linear-regime MLP
 //    (constant gradient ⇒ the midpoint Riemann sum is exact up to rounding)
@@ -18,21 +20,23 @@
 #include <cmath>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/flat_tree_shap.hpp"
 #include "core/gradient.hpp"
-#include "core/tree_shap.hpp"
 #include "golden_scenario.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/gbt.hpp"
 #include "mlcore/mlp.hpp"
 #include "mlcore/model.hpp"
 #include "test_util.hpp"
+#include "tree_shap_oracle.hpp"
 
 namespace ml = xnfv::ml;
+namespace oracle = xnfv::oracle;
 namespace xai = xnfv::xai;
 using xnfv::testutil::make_linear_dataset;
 using xnfv::testutil::make_xor_dataset;
@@ -78,7 +82,7 @@ void pin_flat_vs_recursive(const ml::Model& model, const ml::Matrix& points,
                            std::initializer_list<std::size_t> thread_counts = {1, 8}) {
     const auto flat = xai::FlatTreeShap::build(model);
     ASSERT_NE(flat, nullptr) << what;
-    xai::TreeShap recursive;
+    oracle::RecursiveTreeShap recursive;
     xai::FlatShapScratch scratch;
     std::vector<xai::Explanation> singles(points.rows());
     for (std::size_t i = 0; i < points.rows(); ++i) {
@@ -153,7 +157,7 @@ TEST(FlatTreeShap, ScratchReusableAcrossModelsOfDifferentShape) {
     big_forest.fit(big_data, rng);
     const auto small_flat = xai::FlatTreeShap::build(small_tree);
     const auto big_flat = xai::FlatTreeShap::build(big_forest);
-    xai::TreeShap recursive;
+    oracle::RecursiveTreeShap recursive;
     xai::FlatShapScratch shared;  // alternates between both shapes
     const auto small_x = probe_points(6, 2, rng);
     const auto big_x = probe_points(6, 6, rng);
@@ -358,7 +362,7 @@ TEST(FlatTreeShap, GoldenBitsOnFixedForestAndGbt) {
         const auto flat = xai::FlatTreeShap::build(model);
         ASSERT_NE(flat, nullptr) << what;
         xai::FlatShapScratch scratch;
-        xai::TreeShap recursive;
+        oracle::RecursiveTreeShap recursive;
         std::vector<std::size_t> rows;
         for (const Golden& g : golden) rows.push_back(g.row);
         const auto points = data.x.take_rows(rows);
@@ -388,8 +392,8 @@ TEST(FlatTreeShapExplainer, AdapterMatchesRecursiveAndKeepsName) {
     const auto data = nonlinear_dataset(800, 3, rng);
     ml::RandomForest forest(ml::RandomForest::Config{.num_trees = 11});
     forest.fit(data, rng);
-    xai::FlatTreeShapExplainer fast;
-    xai::TreeShap recursive;
+    xai::TreeShap fast;
+    oracle::RecursiveTreeShap recursive;
     EXPECT_EQ(fast.name(), recursive.name());
     const auto x = probe_points(8, 3, rng);
     for (std::size_t i = 0; i < 8; ++i)
@@ -400,9 +404,44 @@ TEST(FlatTreeShapExplainer, AdapterMatchesRecursiveAndKeepsName) {
         expect_bitwise(batch[i], recursive.explain(forest, x.row(i)), "adapter-batch");
 }
 
+TEST(FlatTreeShapExplainer, FollowsAModelRefitOrReplacedInTheSameStorage) {
+    // One adapter instance sees three models at one address: a forest, the
+    // same object re-fit on other data, and a second forest emplaced in the
+    // same storage.  Each must be explained with its own trees.
+    ml::Rng rng(28);
+    const auto first = nonlinear_dataset(600, 4, rng);
+    const auto second = nonlinear_dataset(600, 4, rng);
+    const auto x = probe_points(6, 4, rng);
+    xai::TreeShap fast;
+    oracle::RecursiveTreeShap recursive;
+    const auto pin = [&](const ml::Model& model, const char* what) {
+        const auto batch = fast.explain_batch(model, x);
+        for (std::size_t i = 0; i < x.rows(); ++i) {
+            const auto ref = recursive.explain(model, x.row(i));
+            expect_bitwise(fast.explain(model, x.row(i)), ref, what);
+            expect_bitwise(batch[i], ref, what);
+        }
+        return recursive.explain(model, x.row(0)).base_value;
+    };
+    std::optional<ml::RandomForest> forest;
+    forest.emplace(ml::RandomForest::Config{.num_trees = 20});
+    forest->fit(first, rng);
+    const ml::Model* const address = &*forest;
+    const double first_base = pin(*forest, "first fit");
+    forest->fit(second, rng);
+    const double refit_base = pin(*forest, "re-fit");
+    forest.emplace(ml::RandomForest::Config{.num_trees = 9});
+    forest->fit(first, rng);
+    ASSERT_EQ(&*forest, address);
+    const double emplaced_base = pin(*forest, "emplaced");
+    // The three models differ, so a kernel reused by address would show.
+    EXPECT_NE(refit_base, first_base);
+    EXPECT_NE(emplaced_base, refit_base);
+}
+
 TEST(FlatTreeShapExplainer, RejectsNonTreeModelsWithRecursiveErrorText) {
     const ml::LambdaModel model(2, [](std::span<const double>) { return 0.0; });
-    xai::FlatTreeShapExplainer fast;
+    xai::TreeShap fast;
     try {
         (void)fast.explain(model, std::vector<double>{0, 0});
         FAIL() << "expected std::invalid_argument";

@@ -155,7 +155,7 @@ TEST(ExplainerLimits, ReducedBudgetIsDeterministicAndDiffersFromFull) {
 TEST(DegradationPolicy, DisabledByDefault) {
     serve::DegradationPolicy policy;
     EXPECT_FALSE(policy.enabled());
-    EXPECT_EQ(policy.classify({1000}), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify(1000), serve::DegradeLevel::full);
 }
 
 TEST(DegradationPolicy, ClassifiesByQueueDepth) {
@@ -164,12 +164,12 @@ TEST(DegradationPolicy, ClassifiesByQueueDepth) {
     cfg.baseline_queue_depth = 8;
     serve::DegradationPolicy policy(cfg);
     EXPECT_TRUE(policy.enabled());
-    EXPECT_EQ(policy.classify({0}), serve::DegradeLevel::full);
-    EXPECT_EQ(policy.classify({3}), serve::DegradeLevel::full);
-    EXPECT_EQ(policy.classify({4}), serve::DegradeLevel::reduced);
-    EXPECT_EQ(policy.classify({7}), serve::DegradeLevel::reduced);
-    EXPECT_EQ(policy.classify({8}), serve::DegradeLevel::baseline);
-    EXPECT_EQ(policy.classify({100}), serve::DegradeLevel::baseline);
+    EXPECT_EQ(policy.classify(0), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify(3), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify(4), serve::DegradeLevel::reduced);
+    EXPECT_EQ(policy.classify(7), serve::DegradeLevel::reduced);
+    EXPECT_EQ(policy.classify(8), serve::DegradeLevel::baseline);
+    EXPECT_EQ(policy.classify(100), serve::DegradeLevel::baseline);
 }
 
 TEST(DegradationPolicy, MostDegradedRungWins) {
@@ -178,7 +178,7 @@ TEST(DegradationPolicy, MostDegradedRungWins) {
     cfg.baseline_queue_depth = 6;
     serve::DegradationPolicy policy(cfg);
     // Depth crosses both rungs -> baseline.
-    EXPECT_EQ(policy.classify({6}), serve::DegradeLevel::baseline);
+    EXPECT_EQ(policy.classify(6), serve::DegradeLevel::baseline);
 }
 
 TEST(DegradationPolicy, OrdersInvertedThresholds) {
@@ -187,7 +187,7 @@ TEST(DegradationPolicy, OrdersInvertedThresholds) {
     cfg.baseline_queue_depth = 2;  // below reduced: would shadow it
     serve::DegradationPolicy policy(cfg);
     EXPECT_EQ(policy.config().baseline_queue_depth, 10u);
-    EXPECT_EQ(policy.classify({5}), serve::DegradeLevel::full);
+    EXPECT_EQ(policy.classify(5), serve::DegradeLevel::full);
 }
 
 TEST(ExplanationService, DegradesUnderQueueDepthAndNeverCachesDegraded) {
@@ -562,10 +562,9 @@ TEST(RequestQueueShutdownRace, ConcurrentPushersSurviveClose) {
                 }
             });
         }
+        // An empty pop means the queue is closed and drained.
         std::thread popper([&queue] {
-            while (true) {
-                const auto batch = queue.pop_batch(Clock::now() + milliseconds(1), 16);
-                if (batch.empty() && queue.closed()) return;
+            while (!queue.pop_batch(16).empty()) {
             }
         });
         std::this_thread::sleep_for(microseconds(200 * (round % 5)));

@@ -12,9 +12,9 @@
 
 #include "core/aggregate.hpp"
 #include "core/counterfactual.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/kernel_shap.hpp"
 #include "core/surrogate.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/metrics.hpp"
 #include "workload/dataset_builder.hpp"

@@ -42,7 +42,7 @@ serve::Job class_job(std::uint64_t id, std::size_t model_class) {
 /// Pops everything as one batch, returning the class of each job in order.
 std::vector<std::size_t> drain_classes(serve::RequestQueue& queue) {
     std::vector<std::size_t> order;
-    for (const auto& job : queue.pop_batch(std::chrono::steady_clock::now(), queue.size()))
+    for (const auto& job : queue.pop_batch(queue.size()))
         order.push_back(job.model_class);
     return order;
 }
@@ -56,7 +56,7 @@ TEST(DwrrQueue, SingleClassDegeneratesToFifo) {
     for (std::uint64_t id = 1; id <= 5; ++id)
         ASSERT_EQ(queue.try_push(class_job(id, 0)), serve::ServeError::none);
     for (std::uint64_t id = 1; id <= 5; ++id) {
-        auto batch = queue.pop_batch(std::chrono::steady_clock::now(), 1);
+        auto batch = queue.pop_batch(1);
         ASSERT_EQ(batch.size(), 1u);
         EXPECT_EQ(batch[0].request.id, id);
     }
@@ -113,7 +113,7 @@ TEST(DwrrQueue, LateJoiningClassIsServedWithinOneRound) {
     for (std::uint64_t id = 0; id < 8; ++id)
         ASSERT_EQ(queue.try_push(class_job(id, 0)), serve::ServeError::none);
     // Two pops of the monopolist, then the cold tenant arrives.
-    const auto first = queue.pop_batch(std::chrono::steady_clock::now(), 2);
+    const auto first = queue.pop_batch(2);
     ASSERT_EQ(first.size(), 2u);
     ASSERT_EQ(first[0].model_class, 0u);
     ASSERT_EQ(first[1].model_class, 0u);
@@ -143,7 +143,7 @@ TEST(DwrrQueue, QuotaCapsOneClassUnderTheGlobalDepth) {
     EXPECT_EQ(queue.size(), 8u);
     // Popping a quota-capped job frees its slot.
     while (queue.class_size(1) > 1)
-        ASSERT_EQ(queue.pop_batch(std::chrono::steady_clock::now(), 1).size(), 1u);
+        ASSERT_EQ(queue.pop_batch(1).size(), 1u);
     EXPECT_EQ(queue.try_push(class_job(11, 1)), serve::ServeError::none);
 }
 

@@ -15,12 +15,12 @@
 #include <string>
 
 #include "core/exact_shapley.hpp"
+#include "core/flat_tree_shap.hpp"
 #include "core/gradient.hpp"
 #include "core/kernel_shap.hpp"
 #include "core/lime.hpp"
 #include "core/occlusion.hpp"
 #include "core/sampling_shapley.hpp"
-#include "core/tree_shap.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/gbt.hpp"
 #include "mlcore/linear.hpp"

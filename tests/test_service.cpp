@@ -34,7 +34,6 @@ namespace serve = xnfv::serve;
 namespace xai = xnfv::xai;
 
 using Clock = std::chrono::steady_clock;
-using std::chrono::microseconds;
 
 namespace {
 
@@ -73,7 +72,7 @@ TEST(RequestQueue, RejectsWithQueueFullWhenDepthReached) {
     EXPECT_EQ(queue.size(), 2u);
 
     // Popping frees a slot.
-    EXPECT_EQ(queue.pop_batch(Clock::now(), 1).size(), 1u);
+    EXPECT_EQ(queue.pop_batch(1).size(), 1u);
     EXPECT_EQ(queue.try_push(make_job(3)), serve::ServeError::none);
 }
 
@@ -82,13 +81,13 @@ TEST(RequestQueue, PopsInFifoOrder) {
     for (std::uint64_t id = 1; id <= 4; ++id)
         ASSERT_EQ(queue.try_push(make_job(id)), serve::ServeError::none);
     // A batch takes what is queued, in order, up to its cap.
-    const auto first = queue.pop_batch(Clock::now(), 3);
-    const auto rest = queue.pop_batch(Clock::now(), 3);
+    const auto first = queue.pop_batch(3);
+    const auto rest = queue.pop_batch(3);
     ASSERT_EQ(first.size(), 3u);
     ASSERT_EQ(rest.size(), 1u);
     for (std::uint64_t id = 1; id <= 3; ++id) EXPECT_EQ(first[id - 1].request.id, id);
     EXPECT_EQ(rest[0].request.id, 4u);
-    EXPECT_TRUE(queue.pop_batch(Clock::now(), 3).empty());
+    EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(RequestQueue, CloseRejectsNewButDrainsQueued) {
@@ -97,18 +96,11 @@ TEST(RequestQueue, CloseRejectsNewButDrainsQueued) {
     queue.close();
     EXPECT_EQ(queue.try_push(make_job(2)), serve::ServeError::service_stopped);
     // Already-admitted work survives the close.
-    auto batch = queue.pop_batch(Clock::now() + microseconds(100), 4);
+    auto batch = queue.pop_batch(4);
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0].request.id, 1u);
     // Drained + closed: pop returns immediately with nothing.
-    EXPECT_TRUE(queue.pop_batch(Clock::now() + std::chrono::seconds(5), 4).empty());
-}
-
-TEST(RequestQueue, PopWaitTimesOutOnEmptyQueue) {
-    serve::RequestQueue queue(4);
-    const auto start = Clock::now();
-    EXPECT_TRUE(queue.pop_batch(start + std::chrono::milliseconds(20), 4).empty());
-    EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(19));
+    EXPECT_TRUE(queue.pop_batch(4).empty());
 }
 
 // ---------------------------------------------------------------- cache ---
@@ -417,6 +409,15 @@ serve::ExplainRequest request_for(std::uint64_t id, std::vector<double> features
     r.id = id;
     r.features = std::move(features);
     return r;
+}
+
+/// sum_model(), except that predict throws when x[0] is 4: a real compute
+/// failure for any request whose first feature is 4.
+std::shared_ptr<const ml::Model> fails_on_four_model() {
+    return std::make_shared<ml::LambdaModel>(3, [](std::span<const double> x) {
+        if (x[0] == 4.0) throw std::runtime_error("predict failed");
+        return 0.25 * x[0] + 0.5 * x[1] - x[2];
+    });
 }
 
 }  // namespace
@@ -752,20 +753,97 @@ TEST(ExplanationService, CachedKeyIsRejectedWhileTheBreakerIsOpen) {
     cfg.breaker.window = 2;
     cfg.breaker.error_threshold = 0.5;
     cfg.breaker.cooldown = std::chrono::minutes(10);
-    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    serve::ExplanationService service(fails_on_four_model(), tiny_background(), cfg);
     ASSERT_TRUE(service.explain_sync(cached_request()).ok);
 
-    // A forced exact method this model cannot run fails, and fills the
+    // A request whose model evaluation throws fails, and fills the
     // two-outcome window at one error in two: the breaker opens.
-    auto failing = request_for(2, {4.0, 5.0, 6.0});
-    failing.method = "tree_shap";
-    EXPECT_EQ(service.explain_sync(std::move(failing)).error_code,
-              serve::ServeError::unsupported_explainer);
+    EXPECT_EQ(service.explain_sync(request_for(2, {4.0, 5.0, 6.0})).error_code,
+              serve::ServeError::internal_error);
     ASSERT_EQ(service.stats().models[0].breaker_state, 1u);
 
     const Repeat repeat = repeat_cached(service);
     EXPECT_EQ(repeat.rejected, serve::ServeError::circuit_open);
     EXPECT_FALSE(repeat.answered_from_cache);
+}
+
+// The breaker counts compute outcomes only (DESIGN.md §15): a method the
+// model cannot run and a job that expired in the queue leave its window
+// alone.
+TEST(ExplanationService, UnsupportedMethodRequestsDoNotTripTheBreaker) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.breaker.window = 4;
+    cfg.breaker.error_threshold = 0.5;
+    cfg.breaker.cooldown = std::chrono::seconds(5);
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+        auto forced = request_for(id, {static_cast<double>(id), 0.0, 0.0});
+        forced.method = "tree_shap";
+        EXPECT_EQ(service.explain_sync(std::move(forced)).error_code,
+                  serve::ServeError::unsupported_explainer);
+    }
+    for (const char* method : {"auto", "occlusion"}) {
+        auto valid = request_for(10, {1.0, 2.0, 3.0});
+        valid.method = method;
+        EXPECT_TRUE(service.explain_sync(std::move(valid)).ok) << method;
+    }
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.models[0].breaker_state, 0u);
+    EXPECT_EQ(stats.models[0].breaker_opens, 0u);
+    EXPECT_EQ(stats.models[0].breaker_rejected, 0u);
+}
+
+TEST(ExplanationService, QueueExpiredJobLeavesTheBreakerWindowAlone) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.breaker.window = 2;
+    cfg.breaker.error_threshold = 0.5;
+    cfg.breaker.cooldown = std::chrono::minutes(10);
+    const auto gate = add_gate(cfg, 3);
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    {
+        DispatcherHold hold(service, gate);
+        auto expiring = request_for(1, {1.0, 2.0, 3.0});
+        expiring.deadline_ms = 1;
+        auto sub = service.submit(std::move(expiring));
+        ASSERT_EQ(sub.rejected, serve::ServeError::none);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ASSERT_TRUE(hold.release().ok);
+        EXPECT_EQ(sub.response.get().error_code, serve::ServeError::deadline_exceeded);
+    }
+    // Had the expiry counted, this success would complete a two-outcome
+    // window at one error in two, and the breaker would open.
+    EXPECT_TRUE(service.explain_sync(request_for(2, {2.0, 2.0, 3.0})).ok);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.models[0].breaker_state, 0u);
+    EXPECT_EQ(stats.models[0].breaker_opens, 0u);
+}
+
+TEST(ExplanationService, UnsupportedHalfOpenProbeLetsTheNextRequestProbe) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.breaker.window = 2;
+    cfg.breaker.error_threshold = 0.5;
+    cfg.breaker.cooldown = std::chrono::milliseconds(20);
+    serve::ExplanationService service(fails_on_four_model(), tiny_background(), cfg);
+    ASSERT_TRUE(service.explain_sync(request_for(1, {1.0, 2.0, 3.0})).ok);
+    ASSERT_FALSE(service.explain_sync(request_for(2, {4.0, 5.0, 6.0})).ok);
+    ASSERT_EQ(service.stats().models[0].breaker_state, 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+
+    // The cooldown is over: the unsupported request is admitted as the
+    // half-open probe, and its answer releases the probe.
+    auto forced = request_for(3, {2.0, 2.0, 3.0});
+    forced.method = "tree_shap";
+    EXPECT_EQ(service.explain_sync(std::move(forced)).error_code,
+              serve::ServeError::unsupported_explainer);
+    EXPECT_EQ(service.stats().models[0].breaker_state, 2u);
+    // So the next request probes, and its success closes the breaker.
+    EXPECT_TRUE(service.explain_sync(request_for(4, {3.0, 2.0, 3.0})).ok);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.models[0].breaker_state, 0u);
+    EXPECT_EQ(stats.models[0].breaker_opens, 1u);
 }
 
 TEST(ExplanationService, CachedKeyIsAnsweredWhileTheQueueIsFull) {

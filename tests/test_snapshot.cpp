@@ -57,6 +57,16 @@ serve::SnapshotRecord make_record(std::uint64_t tag) {
     return r;
 }
 
+void expect_pairs_eq(const std::vector<xai::InteractionPair>& a,
+                     const std::vector<xai::InteractionPair>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].i, b[k].i);
+        EXPECT_EQ(a[k].j, b[k].j);
+        EXPECT_EQ(a[k].h2, b[k].h2);
+    }
+}
+
 void expect_record_eq(const serve::SnapshotRecord& a, const serve::SnapshotRecord& b) {
     EXPECT_EQ(a.key_words, b.key_words);
     EXPECT_EQ(a.key_context, b.key_context);
@@ -65,6 +75,7 @@ void expect_record_eq(const serve::SnapshotRecord& a, const serve::SnapshotRecor
     EXPECT_EQ(a.explanation.base_value, b.explanation.base_value);
     EXPECT_EQ(a.explanation.attributions, b.explanation.attributions);
     EXPECT_EQ(a.explanation.feature_names, b.explanation.feature_names);
+    expect_pairs_eq(a.explanation.interactions, b.explanation.interactions);
 }
 
 std::shared_ptr<const ml::Model> sum_model() {
@@ -104,7 +115,9 @@ TEST(Snapshot, RoundTripsRecordsInOrder) {
     const auto path = temp_path("roundtrip.bin");
     std::vector<serve::SnapshotRecord> records;
     for (std::uint64_t t = 0; t < 5; ++t) records.push_back(make_record(t));
-    // Exercise edge shapes: empty names, empty attributions, empty key words.
+    // Exercise edge shapes: interaction pairs, empty names, empty
+    // attributions, empty key words.
+    records[1].explanation.interactions = {{0, 2, 0.75}, {1, 2, 0x1.5555555555555p-3}};
     records[2].explanation.feature_names.clear();
     records[3].explanation.attributions.clear();
     records[4].key_words.clear();
@@ -248,13 +261,20 @@ TEST(ServicePersistence, RestartServesByteIdenticalCacheHits) {
     const auto features = [](std::uint64_t k) {
         return std::vector<double>{static_cast<double>(k), 0.5, -1.0};
     };
+    // The third request also asks for its top two interaction pairs, which
+    // the restored entry must carry too.
+    const auto request = [&](std::uint64_t id, std::uint64_t k) {
+        auto r = request_for(id, features(k));
+        r.interactions = k == 2 ? 2 : 0;
+        return r;
+    };
 
     // First life: compute and cache three explanations, snapshot at stop().
     std::vector<xai::Explanation> first_life;
     {
         serve::ExplanationService service(sum_model(), tiny_background(), cfg);
         for (std::uint64_t k = 0; k < 3; ++k) {
-            auto r = service.explain_sync(request_for(k, features(k)));
+            auto r = service.explain_sync(request(k, k));
             ASSERT_TRUE(r.ok);
             EXPECT_FALSE(r.cache_hit);
             first_life.push_back(std::move(r.explanation));
@@ -269,13 +289,15 @@ TEST(ServicePersistence, RestartServesByteIdenticalCacheHits) {
         EXPECT_EQ(service.stats().snapshot_records_loaded, 3u);
         EXPECT_EQ(service.stats().cache_entries, 3u);
         for (std::uint64_t k = 0; k < 3; ++k) {
-            const auto r = service.explain_sync(request_for(100 + k, features(k)));
+            const auto r = service.explain_sync(request(100 + k, k));
             ASSERT_TRUE(r.ok);
             EXPECT_TRUE(r.cache_hit);
             EXPECT_EQ(r.explanation.method, first_life[k].method);
             EXPECT_EQ(r.explanation.prediction, first_life[k].prediction);
             EXPECT_EQ(r.explanation.base_value, first_life[k].base_value);
             EXPECT_EQ(r.explanation.attributions, first_life[k].attributions);
+            EXPECT_EQ(r.explanation.interactions.size(), k == 2 ? 2u : 0u);
+            expect_pairs_eq(r.explanation.interactions, first_life[k].interactions);
         }
         // A served hit equals what a cold one-shot computation would produce:
         // the snapshot round-trip preserved the determinism contract.

@@ -1,4 +1,4 @@
-#include "core/tree_shap.hpp"
+#include "tree_shap_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include "mlcore/linear.hpp"
 #include "test_util.hpp"
 
-namespace xai = xnfv::xai;
+namespace oracle = xnfv::oracle;
 namespace ml = xnfv::ml;
 using xnfv::testutil::make_linear_dataset;
 using xnfv::testutil::make_xor_dataset;
@@ -28,7 +28,7 @@ std::vector<double> brute_force_tree_shapley(const ml::DecisionTree& tree,
     std::vector<bool> mask(d);
     for (std::size_t m = 0; m < n_subsets; ++m) {
         for (std::size_t j = 0; j < d; ++j) mask[j] = (m >> j) & 1u;
-        v[m] = xai::tree_expected_value(tree, x, mask);
+        v[m] = oracle::tree_expected_value(tree, x, mask);
     }
     std::vector<double> weight(d);
     for (std::size_t s = 0; s < d; ++s)
@@ -67,7 +67,7 @@ TEST(TreeExpectedValue, FullCoalitionIsPrediction) {
     ml::DecisionTree tree(ml::DecisionTree::Config{.max_depth = 5});
     tree.fit(data);
     const std::vector<double> x{0.3, -0.4, 0.8};
-    EXPECT_NEAR(xai::tree_expected_value(tree, x, std::vector<bool>(3, true)),
+    EXPECT_NEAR(oracle::tree_expected_value(tree, x, std::vector<bool>(3, true)),
                 tree.predict(x), 1e-12);
 }
 
@@ -80,7 +80,7 @@ TEST(TreeExpectedValue, EmptyCoalitionIsCoverWeightedMean) {
     double mean = 0.0;
     for (std::size_t i = 0; i < data.size(); ++i) mean += tree.predict(data.x.row(i));
     mean /= static_cast<double>(data.size());
-    EXPECT_NEAR(xai::tree_expected_value(tree, std::vector<double>{0, 0},
+    EXPECT_NEAR(oracle::tree_expected_value(tree, std::vector<double>{0, 0},
                                          std::vector<bool>(2, false)),
                 mean, 1e-9);
 }
@@ -94,7 +94,7 @@ TEST(TreeShapSingle, MatchesBruteForceOnSmallTrees) {
                           std::vector<double>{-0.9, 0.1, -0.3},
                           std::vector<double>{0.0, -1.0, 1.0}}) {
         std::vector<double> phi(3, 0.0);
-        (void)xai::tree_shap_single(tree, x, phi);
+        (void)oracle::tree_shap_single(tree, x, phi);
         const auto truth = brute_force_tree_shapley(tree, x);
         EXPECT_LT(max_abs_diff(phi, truth), 1e-9) << "at x0=" << x[0];
     }
@@ -110,7 +110,7 @@ TEST(TreeShapSingle, MatchesBruteForceOnDeeperTreesManyPoints) {
     for (int rep = 0; rep < 20; ++rep) {
         for (auto& v : x) v = rng.uniform(-1.0, 1.0);
         std::vector<double> phi(4, 0.0);
-        (void)xai::tree_shap_single(tree, x, phi);
+        (void)oracle::tree_shap_single(tree, x, phi);
         EXPECT_LT(max_abs_diff(phi, brute_force_tree_shapley(tree, x)), 1e-9);
     }
 }
@@ -122,7 +122,7 @@ TEST(TreeShapSingle, EfficiencyAxiom) {
     tree.fit(data);
     const std::vector<double> x{0.2, 0.7, -0.6};
     std::vector<double> phi(3, 0.0);
-    const double base = xai::tree_shap_single(tree, x, phi);
+    const double base = oracle::tree_shap_single(tree, x, phi);
     double sum = base;
     for (double p : phi) sum += p;
     EXPECT_NEAR(sum, tree.predict(x), 1e-9);
@@ -140,7 +140,7 @@ TEST(TreeShapSingle, UnusedFeatureGetsZero) {
     ml::DecisionTree tree(ml::DecisionTree::Config{.max_depth = 2});
     tree.fit(data);
     std::vector<double> phi(2, 0.0);
-    (void)xai::tree_shap_single(tree, std::vector<double>{0.5, 0.5}, phi);
+    (void)oracle::tree_shap_single(tree, std::vector<double>{0.5, 0.5}, phi);
     EXPECT_NEAR(phi[1], 0.0, 1e-12);
     EXPECT_GT(std::abs(phi[0]), 1.0);
 }
@@ -150,7 +150,7 @@ TEST(TreeShapExplainer, SingleTreeDispatch) {
     const auto data = nonlinear_dataset(500, 3, rng);
     ml::DecisionTree tree(ml::DecisionTree::Config{.max_depth = 5});
     tree.fit(data);
-    xai::TreeShap ts;
+    oracle::RecursiveTreeShap ts;
     const std::vector<double> x{0.1, 0.2, 0.3};
     const auto e = ts.explain(tree, x);
     EXPECT_EQ(e.attributions.size(), 3u);
@@ -162,7 +162,7 @@ TEST(TreeShapExplainer, ForestEfficiencyAndAveraging) {
     const auto data = nonlinear_dataset(800, 3, rng);
     ml::RandomForest forest(ml::RandomForest::Config{.num_trees = 25});
     forest.fit(data, rng);
-    xai::TreeShap ts;
+    oracle::RecursiveTreeShap ts;
     const std::vector<double> x{0.4, -0.2, 0.6};
     const auto e = ts.explain(forest, x);
     EXPECT_NEAR(e.additive_reconstruction(), forest.predict(x), 1e-9);
@@ -173,7 +173,7 @@ TEST(TreeShapExplainer, GbtRegressionEfficiency) {
     const auto data = nonlinear_dataset(800, 3, rng);
     ml::GradientBoostedTrees gbt(ml::GradientBoostedTrees::Config{.num_rounds = 40});
     gbt.fit(data, rng);
-    xai::TreeShap ts;
+    oracle::RecursiveTreeShap ts;
     const std::vector<double> x{-0.3, 0.5, 0.1};
     const auto e = ts.explain(gbt, x);
     EXPECT_NEAR(e.additive_reconstruction(), gbt.predict(x), 1e-9);
@@ -184,7 +184,7 @@ TEST(TreeShapExplainer, GbtClassifierWorksInMarginSpace) {
     const auto data = make_xor_dataset(1000, rng);
     ml::GradientBoostedTrees gbt(ml::GradientBoostedTrees::Config{.num_rounds = 30});
     gbt.fit(data, rng);
-    xai::TreeShap ts;
+    oracle::RecursiveTreeShap ts;
     const std::vector<double> x{0.5, -0.5};
     const auto e = ts.explain(gbt, x);
     // Efficiency must hold in margin (log-odds) space.
@@ -193,7 +193,7 @@ TEST(TreeShapExplainer, GbtClassifierWorksInMarginSpace) {
 }
 
 TEST(TreeShapExplainer, RejectsNonTreeModels) {
-    xai::TreeShap ts;
+    oracle::RecursiveTreeShap ts;
     const ml::LambdaModel model(2, [](std::span<const double>) { return 0.0; });
     EXPECT_THROW((void)ts.explain(model, std::vector<double>{0, 0}),
                  std::invalid_argument);
@@ -214,7 +214,7 @@ TEST(TreeShapExplainer, InformativeFeatureDominatesXorForest) {
     }
     ml::RandomForest forest(ml::RandomForest::Config{.num_trees = 40});
     forest.fit(data, rng);
-    xai::TreeShap ts;
+    oracle::RecursiveTreeShap ts;
     double dummy_mass = 0.0, info_mass = 0.0;
     for (int rep = 0; rep < 20; ++rep) {
         const std::vector<double> x{rng.uniform(-1, 1), rng.uniform(-1, 1),
@@ -240,7 +240,7 @@ TEST_P(TreeShapDepthSweep, MatchesBruteForceAtDepth) {
     for (int rep = 0; rep < 5; ++rep) {
         for (auto& v : x) v = rng.uniform(-1.0, 1.0);
         std::vector<double> phi(4, 0.0);
-        (void)xai::tree_shap_single(tree, x, phi);
+        (void)oracle::tree_shap_single(tree, x, phi);
         EXPECT_LT(max_abs_diff(phi, brute_force_tree_shapley(tree, x)), 1e-9);
     }
 }

@@ -1,4 +1,4 @@
-#include "core/tree_shap.hpp"
+#include "tree_shap_oracle.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -6,12 +6,14 @@
 
 #include "core/exact_shapley.hpp"
 
-namespace xnfv::xai {
+namespace xnfv::oracle {
 
 using xnfv::ml::DecisionTree;
 using xnfv::ml::GradientBoostedTrees;
 using xnfv::ml::RandomForest;
 using xnfv::ml::TreeNode;
+using xnfv::xai::Explanation;
+using xnfv::xai::log_gamma;
 
 namespace {
 
@@ -162,7 +164,8 @@ double tree_expected_value(const DecisionTree& tree, std::span<const double> x,
     return total;
 }
 
-Explanation TreeShap::explain(const xnfv::ml::Model& model, std::span<const double> x) {
+Explanation RecursiveTreeShap::explain(const xnfv::ml::Model& model,
+                                       std::span<const double> x) {
     const std::size_t d = model.num_features();
     if (x.size() != d) throw std::invalid_argument("TreeShap: input size mismatch");
 
@@ -206,4 +209,4 @@ Explanation TreeShap::explain(const xnfv::ml::Model& model, std::span<const doub
                                 "' is not a supported tree ensemble");
 }
 
-}  // namespace xnfv::xai
+}  // namespace xnfv::oracle

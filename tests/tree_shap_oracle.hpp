@@ -1,4 +1,11 @@
-// Exact Shapley attribution for tree ensembles (TreeSHAP).
+// The recursive TreeSHAP walker: the tests' reference for the flat kernel.
+//
+// The library explains trees with one kernel, core/flat_tree_shap.hpp.  This
+// walker is the algorithm in its plainest form, kept only as an oracle: the
+// flat kernel's pins (tests/test_fast_path.cpp), its brute-force checks
+// (tests/test_tree_shap.cpp) and bench_s5_fastpath's bitwise gate compare
+// against it, and the hex-float goldens were recorded from its arithmetic.
+// No library links it.
 //
 // Uses the path-dependent value function of Lundberg et al. (2018):
 //     v(S) = EXPVALUE(x, S) — walk the tree, following x for features in S
@@ -16,8 +23,7 @@
 // the unit tests verify it against brute-force enumeration of the same value
 // function.
 //
-// Complexity: O(leaves * depth^3) per instance per tree; orders of magnitude
-// cheaper than KernelSHAP's thousands of model evaluations (figure F3).
+// Complexity: O(leaves * depth^3) per instance per tree.
 #pragma once
 
 #include "core/explanation.hpp"
@@ -25,7 +31,7 @@
 #include "mlcore/gbt.hpp"
 #include "mlcore/tree.hpp"
 
-namespace xnfv::xai {
+namespace xnfv::oracle {
 
 /// Attributions for a single decision tree; returns the base value (the
 /// cover-weighted expectation of the tree) and adds phi into `phi` (must be
@@ -45,19 +51,17 @@ double tree_shap_single(const xnfv::ml::DecisionTree& tree, std::span<const doub
 /// For GBT classifiers the attribution is computed in margin (log-odds)
 /// space, where the ensemble is additive: `prediction` and `base_value` in
 /// the returned Explanation are margins, and the efficiency identity holds
-/// in that space.  Callers comparing against probability-space explainers
-/// should compare rankings, not magnitudes (experiment T2 does exactly
-/// this).
-class TreeShap final : public Explainer {
+/// in that space.
+class RecursiveTreeShap final : public xnfv::xai::Explainer {
 public:
-    TreeShap() = default;
+    RecursiveTreeShap() = default;
 
     /// Throws std::invalid_argument if the model is not a supported tree
     /// ensemble.
-    [[nodiscard]] Explanation explain(const xnfv::ml::Model& model,
-                                      std::span<const double> x) override;
+    [[nodiscard]] xnfv::xai::Explanation explain(const xnfv::ml::Model& model,
+                                                 std::span<const double> x) override;
 
     [[nodiscard]] std::string name() const override { return "tree_shap"; }
 };
 
-}  // namespace xnfv::xai
+}  // namespace xnfv::oracle
